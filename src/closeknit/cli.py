@@ -1,7 +1,10 @@
 """Command-line entry points.
 
 Exit codes: 0 success/verified, 2 validation violations found,
-3 a hard cap was exceeded, 4 malformed input.
+3 a hard cap was exceeded, 4 malformed input (including a negative
+`--samples`, `--bound` or `--n-max`), 5 internal error: a certificate
+failed re-verification (`--mode both` routes that disagree included),
+a descent did not stabilise, or a kernel consistency check failed.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ EXIT_OK = 0
 EXIT_VIOLATIONS = 2
 EXIT_CAP = 3
 EXIT_BAD_INPUT = 4
+EXIT_INTERNAL = 5
 
 
 def _emit(text: str, out_path: Optional[str]) -> None:
@@ -45,17 +49,20 @@ def _solvable(loaded: LoadedFile):
     raise InputFormatError(f"kind {loaded.kind!r} has nothing to solve")
 
 
+def _non_negative(value: Optional[int], flag: str) -> None:
+    if value is not None and value < 0:
+        raise InputFormatError(f"{flag} must be non-negative, got {value}")
+
+
 def cmd_solve(args) -> int:
     loaded = load_file(args.input)
     mode = args.mode or loaded.mode
-    if loaded.kind == "galois":
+    inst = _solvable(loaded)
+    if loaded.galois is not None:
         cert, descriptor = solve_galois(loaded.galois, mode=mode,
                                         options=loaded.options,
-                                        with_trace=args.trace)
-        inst = GroupInstance(loaded.galois.group, loaded.galois.subgroup_seeds,
-                             loaded.galois.gamma, loaded.options)
+                                        with_trace=args.trace, inst=inst)
     else:
-        inst = _solvable(loaded)
         descriptor = None
         cert = solve(inst, mode=mode, options=loaded.options,
                      with_trace=args.trace)
@@ -68,6 +75,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_check(args) -> int:
+    _non_negative(args.samples, "--samples")
     try:
         loaded = load_file(args.input)
     except ConditionViolation as exc:
@@ -88,6 +96,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    _non_negative(args.bound, "--bound")
     loaded = load_file(args.input)
     inst = _solvable(loaded)
     found = feasible_set(inst, args.bound)
@@ -101,6 +110,7 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_eval_delta(args) -> int:
+    _non_negative(args.n_max, "--n-max")
     loaded = load_file(args.input)
     if loaded.metric is None:
         raise InputFormatError("eval-delta needs a metric instance file")
@@ -184,6 +194,9 @@ def run(argv: Optional[List[str]] = None) -> int:
     except ContractViolation as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
+    except CloseKnitError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 def main() -> None:

@@ -459,7 +459,13 @@ def meet_and_sub_samples(inst: Instance, rng: random.Random, samples: int):
 
 
 def verify_certificate(inst: Instance, cert: Certificate) -> bool:
-    """Recompute invariance, measures, and the sandwich bound for a certificate."""
+    """Recompute invariance, measures, and the sandwich bound for a certificate.
+
+    A certificate whose two routes disagreed (`mode_agreement` False)
+    certifies nothing and is rejected.
+    """
+    if cert.mode_agreement is False:
+        return False
     n = cert.invariant_element
     fixed = all(inst.equals(inst.act(g, n), n) for g in range(inst.gamma_size()))
     if not (fixed and cert.gamma_fixed):

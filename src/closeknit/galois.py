@@ -36,9 +36,16 @@ def family_commensurability(inst: GroupInstance) -> int:
 
 def solve_galois(ginst: GaloisInstance, mode: str = "full",
                  options: Optional[EngineOptions] = None,
-                 with_trace: bool = False) -> Tuple[Certificate, dict]:
-    """Run the group engine on the stabilizer family and describe Fix(H)."""
-    inst = GroupInstance(ginst.group, ginst.subgroup_seeds, ginst.gamma, options)
+                 with_trace: bool = False,
+                 inst: Optional[GroupInstance] = None) -> Tuple[Certificate, dict]:
+    """Run the group engine on the stabilizer family and describe Fix(H).
+
+    A caller that already built the GroupInstance of ginst passes it as
+    inst, so the normaliser checks and the orbit closure run once.
+    """
+    if inst is None:
+        inst = GroupInstance(ginst.group, ginst.subgroup_seeds, ginst.gamma,
+                             options)
     uniform_bound = family_commensurability(inst)
     cert = solve(inst, mode=mode, options=options, with_trace=with_trace)
     h: Subgroup = cert.invariant_element

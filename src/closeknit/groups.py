@@ -2,9 +2,16 @@
 
 Permutations are image arrays; composition is (a * b)(x) = a(b(x)).
 Conjugation in exponent notation is X^s = s^-1 X s.  A PermGroup
-enumerates its full element table (naive closure, adequate at this
-scale) with the identity at index 0; subgroups are element-index sets
-over that table.
+enumerates its full element table by breadth-first search from the
+identity (index 0); subgroups are element-index sets over that table.
+
+No product is computed twice on the hot paths: `closure` is Dimino's
+incremental algorithm (Butler, Fundamental Algorithms for Permutation
+Groups, LNCS 559, 1991), so redundant generators cost one membership
+test and each element of the result is formed once; `product_set` forms
+one coset x*F per left coset of S meet F in S; `index_of` is Lagrange's
+|S| / |S meet T|; `normalizes` conjugates only the ambient generators.
+Brute-force counterparts of each shortcut live in the test oracles.
 """
 
 from __future__ import annotations
@@ -22,7 +29,7 @@ DEFAULT_ELEMENT_CAP = 100_000
 
 def compose(a: Sequence[int], b: Sequence[int]) -> Perm:
     """Composite permutation applying b first, then a."""
-    return tuple(a[b[x]] for x in range(len(a)))
+    return tuple([a[x] for x in b])
 
 
 def invert(a: Sequence[int]) -> Perm:
@@ -65,7 +72,6 @@ class PermGroup:
             frontier = new
         self.elements: List[Perm] = elements
         self.index: Dict[Perm, int] = index
-        self.inverse: List[int] = [index[invert(e)] for e in elements]
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -74,18 +80,11 @@ class PermGroup:
         return self.index[compose(self.elements[i], self.elements[j])]
 
     def inv(self, i: int) -> int:
-        return self.inverse[i]
+        # On demand: only coset representatives ever need an inverse.
+        return self.index[invert(self.elements[i])]
 
     def contains_perm(self, images: Sequence[int]) -> bool:
         return tuple(images) in self.index
-
-    def conjugate_index(self, gamma: Perm, i: int) -> int:
-        """Index of gamma * e_i * gamma^-1; requires the result to stay in G."""
-        conj = compose(compose(gamma, self.elements[i]), invert(gamma))
-        j = self.index.get(conj)
-        if j is None:
-            raise InvalidAction("permutation does not normalize the ambient group")
-        return j
 
 
 class Subgroup:
@@ -129,22 +128,41 @@ class Subgroup:
 
 
 def closure(gens: Iterable[int], ambient: PermGroup) -> Subgroup:
-    """Smallest subgroup of the ambient group containing the given indices."""
-    members = {0}
-    frontier = [0]
+    """Smallest subgroup of the ambient group containing the given indices.
+
+    Dimino's algorithm: a generator already in the subgroup H built so
+    far is skipped; a new one extends H by whole right cosets H*x, and
+    only the coset representatives x are multiplied by the generators
+    kept so far.  The result is closed under right multiplication by
+    every kept generator, so it is the generated subgroup.
+    """
     gens = list(gens)
     for g in gens:
         if not 0 <= g < len(ambient):
             raise StructureMismatch(f"element index {g} out of range")
-    while frontier:
-        new = []
-        for g in gens:
-            for e in frontier:
-                prod = ambient.mult(g, e)
-                if prod not in members:
-                    members.add(prod)
-                    new.append(prod)
-        frontier = new
+    mult = ambient.mult
+    elements = [0]
+    members = {0}
+    kept: List[int] = []
+    for g in gens:
+        if g in members:
+            continue
+        kept.append(g)
+        base = list(elements)
+        coset = [mult(h, g) for h in base]
+        elements.extend(coset)
+        members.update(coset)
+        # Each coset starts with its representative: base[0] is the identity.
+        rep_pos = len(base)
+        while rep_pos < len(elements):
+            rep = elements[rep_pos]
+            for k in kept:
+                x = mult(rep, k)
+                if x not in members:
+                    coset = [mult(h, x) for h in base]
+                    elements.extend(coset)
+                    members.update(coset)
+            rep_pos += len(base)
     return Subgroup(ambient, frozenset(members))
 
 
@@ -159,25 +177,15 @@ def subgroup_from_perms(ambient: PermGroup, perms: Iterable[Sequence[int]]) -> S
 
 
 def is_subgroup(ambient: PermGroup, members: FrozenSet[int]) -> bool:
-    if 0 not in members:
-        return False
-    for i in members:
-        if ambient.inv(i) not in members:
-            return False
-        for j in members:
-            if ambient.mult(i, j) not in members:
-                return False
-    return True
+    """A finite subset containing the identity and closed under products
+    is a subgroup, so it suffices that it generates nothing outside itself."""
+    return 0 in members and closure(members, ambient).members == members
 
 
 def index_of(s: Subgroup, t: Subgroup) -> int:
-    """[s : s meet t] by left-coset counting (always finite here)."""
+    """[s : s meet t] by Lagrange's theorem (always finite here)."""
     s._check(t)
-    core = s.members & t.members
-    cosets = set()
-    for x in sorted(s.members):
-        cosets.add(frozenset(s.ambient.mult(x, h) for h in core))
-    return len(cosets)
+    return len(s.members) // len(s.members & t.members)
 
 
 def measure_group(s: Subgroup, t: Subgroup) -> Tuple[int, int]:
@@ -186,10 +194,19 @@ def measure_group(s: Subgroup, t: Subgroup) -> Tuple[int, int]:
 
 
 def product_set(s: Subgroup, f: Subgroup) -> FrozenSet[int]:
-    """The product set {x*y : x in s, y in f}; generally not a subgroup."""
+    """The product set {x*y : x in s, y in f}; generally not a subgroup.
+
+    It is the disjoint union of the cosets x*f over one x per left coset
+    of s meet f in s, so each of its elements is formed exactly once.  An
+    x of s already covered lies in an earlier x'*f, hence in x'*(s meet f).
+    """
     s._check(f)
-    amb = s.ambient
-    return frozenset(amb.mult(x, y) for x in s.members for y in f.members)
+    mult = s.ambient.mult
+    out: set = set()
+    for x in s.members:
+        if x not in out:
+            out.update([mult(x, y) for y in f.members])
+    return frozenset(out)
 
 
 def coset_representatives(s: Subgroup, core: FrozenSet[int]) -> List[int]:
@@ -219,33 +236,23 @@ def increment_group(s: Subgroup, f: Subgroup) -> Subgroup:
     """
     s._check(f)
     amb = s.ambient
+    mult = amb.mult
     sf = product_set(s, f)
     reps = coset_representatives(s, s.members & f.members)
-    result = None
-    for x in reps:
-        xinv = amb.inv(x)
-        conj = frozenset(amb.mult(amb.mult(xinv, y), x) for y in sf)
-        result = conj if result is None else result & conj
-        if result == s.members:
+    # reps[0] is the identity, whose conjugate is sf itself.  A later
+    # conjugate (sf)^x keeps y exactly when x*y*x^-1 is in sf, and always
+    # keeps the elements of s, so only the shrinking remainder is tested.
+    result = sf
+    for x in reps[1:]:
+        if len(result) == len(s.members):
             break
-    assert result is not None
+        xinv = amb.inv(x)
+        result = frozenset([y for y in result if y in s.members
+                            or mult(mult(x, y), xinv) in sf])
     if not is_subgroup(amb, result):
         raise CloseKnitError("increment produced a non-subgroup; kernel bug")
     if not s.members <= result:
         raise CloseKnitError("increment lost elements of the base subgroup")
-    return Subgroup(amb, result)
-
-
-def increment_group_unoptimized(s: Subgroup, f: Subgroup) -> Subgroup:
-    """Same intersection taken over every element of s (test cross-check)."""
-    amb = s.ambient
-    sf = product_set(s, f)
-    result = None
-    for x in sorted(s.members):
-        xinv = amb.inv(x)
-        conj = frozenset(amb.mult(amb.mult(xinv, y), x) for y in sf)
-        result = conj if result is None else result & conj
-    assert result is not None
     return Subgroup(amb, result)
 
 
@@ -254,19 +261,28 @@ def conjugate_action(gamma: Sequence[int], s: Subgroup) -> Subgroup:
 
     gamma must normalize the ambient element set.
     """
-    g = check_perm(gamma, s.ambient.degree)
-    members = frozenset(s.ambient.conjugate_index(g, i) for i in s.members)
-    return Subgroup(s.ambient, members)
+    amb = s.ambient
+    g = check_perm(gamma, amb.degree)
+    g_inv = invert(g)
+    members = []
+    for i in s.members:
+        j = amb.index.get(compose(compose(g, amb.elements[i]), g_inv))
+        if j is None:
+            raise InvalidAction("permutation does not normalize the ambient group")
+        members.append(j)
+    return Subgroup(amb, frozenset(members))
 
 
 def normalizes(gamma: Sequence[int], ambient: PermGroup) -> bool:
+    """Whether gamma * G * gamma^-1 = G.
+
+    Conjugation is an injective homomorphism and G is finite, so it is
+    enough that the conjugates of the generators of G stay in G.
+    """
     g = check_perm(gamma, ambient.degree)
-    try:
-        for i in range(len(ambient)):
-            ambient.conjugate_index(g, i)
-    except InvalidAction:
-        return False
-    return True
+    g_inv = invert(g)
+    return all(ambient.contains_perm(compose(compose(g, x), g_inv))
+               for x in ambient.generators)
 
 
 class GroupInstance(Instance):

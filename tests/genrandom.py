@@ -98,3 +98,15 @@ def random_concrete_instance(rng: random.Random):
     if kind == "group":
         return random_group_instance(rng)
     return random_vector_instance(rng)
+
+
+def symmetric_group(degree: int) -> PermGroup:
+    """Sym(degree) from a transposition and a full cycle."""
+    swap = [1, 0] + list(range(2, degree))
+    cycle = list(range(1, degree)) + [0]
+    return PermGroup(degree, [swap, cycle])
+
+
+def random_subgroup_gens(rng: random.Random, ambient: PermGroup) -> List[int]:
+    """Zero to two random element indices, as generators of a subgroup."""
+    return [rng.randrange(len(ambient)) for _ in range(rng.randint(0, 2))]

@@ -117,3 +117,86 @@ def brute_orbit(seeds, gammas, act_fn, eq_key) -> list:
                     family.append(img)
                     changed = True
     return family
+
+
+# -- permutation groups ------------------------------------------------------
+#
+# Brute-force counterparts of the group kernel's shortcuts.  Products are
+# formed here from the ambient element table with a local composition, so
+# no route below goes through PermGroup.mult or groups.compose.
+
+def perm_mult(ambient, i: int, j: int) -> int:
+    a, b = ambient.elements[i], ambient.elements[j]
+    return ambient.index[tuple(a[b[x]] for x in range(len(a)))]
+
+
+def perm_inv(ambient, i: int) -> int:
+    return ambient.index[tuple(_inv(ambient.elements[i]))]
+
+
+def bfs_closure(gens, ambient) -> frozenset:
+    """Element indices generated by gens: breadth-first over every
+    generator times every newly found element."""
+    gens = list(gens)
+    members = {0}
+    frontier = [0]
+    while frontier:
+        new = []
+        for g in gens:
+            for e in frontier:
+                prod = perm_mult(ambient, g, e)
+                if prod not in members:
+                    members.add(prod)
+                    new.append(prod)
+        frontier = new
+    return frozenset(members)
+
+
+def brute_is_subgroup(ambient, members) -> bool:
+    """Identity, inverses and every pairwise product inside the set."""
+    if 0 not in members:
+        return False
+    for i in members:
+        if perm_inv(ambient, i) not in members:
+            return False
+        for j in members:
+            if perm_mult(ambient, i, j) not in members:
+                return False
+    return True
+
+
+def brute_normalizes(gamma: Sequence[int], ambient) -> bool:
+    """gamma * e * gamma^-1 stays in the ambient group for every element e."""
+    g = tuple(gamma)
+    g_inv = _inv(g)
+    for e in ambient.elements:
+        conj = tuple(g[e[g_inv[x]]] for x in range(len(g)))
+        if conj not in ambient.index:
+            return False
+    return True
+
+
+def coset_count_index(s, t) -> int:
+    """[s : s meet t] as the number of distinct left cosets x(s meet t)."""
+    amb = s.ambient
+    core = s.members & t.members
+    return len({frozenset(perm_mult(amb, x, h) for h in core)
+                for x in s.members})
+
+
+def brute_product_set(s, f) -> frozenset:
+    amb = s.ambient
+    return frozenset(perm_mult(amb, x, y) for x in s.members for y in f.members)
+
+
+def increment_group_unoptimized(s, f) -> frozenset:
+    """The increment as the intersection of (sf)^x over every x in s."""
+    amb = s.ambient
+    sf = brute_product_set(s, f)
+    result = None
+    for x in sorted(s.members):
+        xinv = perm_inv(amb, x)
+        conj = frozenset(perm_mult(amb, perm_mult(amb, xinv, y), x) for y in sf)
+        result = conj if result is None else result & conj
+    assert result is not None
+    return result

@@ -1,6 +1,8 @@
 import json
 from pathlib import Path
 
+import pytest
+
 from closeknit.cli import run
 
 INSTANCES = Path(__file__).resolve().parent.parent / "instances"
@@ -40,6 +42,19 @@ def test_solve_galois_descriptor(capsys):
     out = json.loads(capsys.readouterr().out)
     assert out["descriptor"]["h_order"] == 4
     assert len(out["invariant_element"]) == 4
+
+
+def test_solve_galois_builds_one_group_instance(monkeypatch, capsys):
+    from closeknit.groups import GroupInstance
+    built = []
+    real_init = GroupInstance.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        real_init(self, *args, **kwargs)
+    monkeypatch.setattr(GroupInstance, "__init__", counting_init)
+    assert run(["solve", "-i", str(INSTANCES / "s4_sylow.json")]) == 0
+    assert len(built) == 1
 
 
 def test_check_clean_exit_zero(capsys):
@@ -272,6 +287,52 @@ def test_malformed_instances_exit_four_without_traceback(tmp_path):
     for i, payload in enumerate(MALFORMED_CASES):
         path = write(tmp_path, f"bad{i}.json", payload)
         assert run(["solve", "-i", path]) == 4, payload
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "-i", "set6.json", "--samples", "-5"],
+    ["oracle", "-i", "s3.json", "--bound", "-1"],
+    ["eval-delta", "-i", "metric_demo.json", "--n-max", "-1"],
+])
+def test_negative_counts_exit_four(argv, capsys):
+    argv = argv[:2] + [str(INSTANCES / argv[2])] + argv[3:]
+    assert run(argv) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("input error:")
+    assert argv[3] in captured.err
+
+
+def _forge_disagreement(monkeypatch):
+    import closeknit.cli as cli
+    real = cli.solve
+
+    def disagreeing(*args, **kwargs):
+        cert = real(*args, **kwargs)
+        cert.mode_agreement = False
+        return cert
+    monkeypatch.setattr(cli, "solve", disagreeing)
+
+
+def _break_subgroup_check(monkeypatch):
+    import closeknit.groups as groups
+    monkeypatch.setattr(groups, "is_subgroup", lambda ambient, members: False)
+
+
+@pytest.mark.parametrize("instance,inject,message", [
+    ("set6.json", _forge_disagreement, "re-verification"),
+    ("s3.json", _break_subgroup_check, "kernel bug"),
+])
+def test_internal_errors_exit_five_without_traceback(instance, inject, message,
+                                                     monkeypatch, capsys):
+    inject(monkeypatch)
+    assert run(["solve", "-i", str(INSTANCES / instance),
+                "--mode", "both"]) == 5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("internal error:")
+    assert message in captured.err
+    assert captured.err.count("\n") == 1
 
 
 def test_module_entry_point():

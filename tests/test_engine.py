@@ -178,6 +178,10 @@ def test_verify_rejects_tampering():
     cert.invariant_element = good
     cert.measures = [dict(m, forward=9) for m in cert.measures]
     assert not verify_certificate(inst, cert)
+    both = solve(inst, mode="both")
+    assert verify_certificate(inst, both)
+    both.mode_agreement = False  # the two routes disagreed
+    assert not verify_certificate(inst, both)
 
 
 def test_solve_singleton_family_fixed():

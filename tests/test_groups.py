@@ -6,9 +6,13 @@ from closeknit.engine import solve
 from closeknit.errors import InvalidAction
 from closeknit.groups import (GroupInstance, PermGroup, Subgroup, closure,
                               conjugate_action, coset_representatives,
-                              increment_group, increment_group_unoptimized,
-                              index_of, product_set, subgroup_from_perms)
+                              increment_group, index_of, is_subgroup,
+                              normalizes, product_set, subgroup_from_perms)
 from closeknit.oracle import all_subgroups
+from tests.genrandom import random_subgroup_gens, symmetric_group
+from tests.oracles import (bfs_closure, brute_is_subgroup, brute_normalizes,
+                           brute_product_set, coset_count_index,
+                           increment_group_unoptimized)
 
 S3 = PermGroup(3, [[1, 0, 2], [1, 2, 0]])
 S4 = PermGroup(4, [[1, 0, 2, 3], [1, 2, 3, 0]])
@@ -42,13 +46,13 @@ def test_index_of_examples():
 
 
 def test_lagrange_consistency():
+    # Lagrange's |s| / |s meet t| against counting the cosets themselves.
     subs = all_subgroups(S4)
     rng = random.Random(7)
     for _ in range(50):
         s = rng.choice(subs)
         t = rng.choice(subs)
-        inter = s.intersect(t)
-        assert index_of(s, t) * len(inter) == len(s)
+        assert index_of(s, t) == coset_count_index(s, t)
 
 
 def test_product_set_examples():
@@ -95,7 +99,7 @@ def test_increment_matches_unoptimized_exhaustive():
         subs = all_subgroups(g)
         for s in subs:
             for f in subs:
-                assert increment_group(s, f) == \
+                assert increment_group(s, f).members == \
                     increment_group_unoptimized(s, f)
 
 
@@ -119,7 +123,8 @@ def test_increment_matches_unoptimized_exhaustive_s4_six():
     subs = [s for s in all_subgroups(S4) if len(s) == 6]
     for s in subs:
         for f in subs:
-            assert increment_group(s, f) == increment_group_unoptimized(s, f)
+            assert increment_group(s, f).members == \
+                increment_group_unoptimized(s, f)
 
 
 def test_conjugate_action_examples():
@@ -205,3 +210,91 @@ def test_condition_three_lemma_sampled_order_48():
             continue
         if index_of(t, f) == index_of(s, f):
             assert increment_group(t, f) == increment_group(s, f)
+
+
+# -- kernel against the brute-force oracles ----------------------------------
+
+def test_kernel_matches_oracles_on_every_s4_subgroup_pair():
+    subs = all_subgroups(S4)
+    for s in subs:
+        assert closure(s.members, S4).members == s.members
+        assert is_subgroup(S4, s.members)
+        for t in subs:
+            union = s.members | t.members
+            assert closure(union, S4).members == bfs_closure(union, S4)
+            assert is_subgroup(S4, union) == brute_is_subgroup(S4, union)
+            assert index_of(s, t) == coset_count_index(s, t)
+            assert product_set(s, t) == brute_product_set(s, t)
+            assert increment_group(s, t).members == \
+                increment_group_unoptimized(s, t)
+
+
+def test_is_subgroup_matches_oracle_on_non_subgroups():
+    rng = random.Random(3)
+    for _ in range(200):
+        members = frozenset(rng.sample(range(24), rng.randint(1, 12)))
+        for cand in (members, members | {0}):
+            assert is_subgroup(S4, cand) == brute_is_subgroup(S4, cand)
+
+
+def test_normalizes_matches_oracle_on_s4_subgroups():
+    # Every subgroup of S4 as an ambient group, against every permutation
+    # of degree 4: both outcomes occur.
+    outcomes = set()
+    for s in all_subgroups(S4):
+        ambient = PermGroup(4, s.perms())
+        for gamma in S4.elements:
+            got = normalizes(gamma, ambient)
+            assert got == brute_normalizes(gamma, ambient)
+            outcomes.add(got)
+    assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize("degree,count", [(5, 40), (6, 30)])
+def test_kernel_matches_oracles_on_random_subgroups(degree, count):
+    ambient = symmetric_group(degree)
+    rng = random.Random(100 + degree)
+    subs = []
+    for _ in range(count):
+        gens = random_subgroup_gens(rng, ambient)
+        sub_ = closure(gens, ambient)
+        assert sub_.members == bfs_closure(gens, ambient)
+        subs.append(sub_)
+    assert len({len(x) for x in subs}) > 5
+    for _ in range(count):
+        s, t = rng.choice(subs), rng.choice(subs)
+        assert index_of(s, t) == coset_count_index(s, t)
+        assert product_set(s, t) == brute_product_set(s, t)
+        # The oracles below cost |s|^2 products or more.
+        if len(s) <= 120:
+            assert increment_group(s, t).members == \
+                increment_group_unoptimized(s, t)
+        union = s.members | t.members
+        if len(union) <= 120:
+            assert is_subgroup(ambient, union) == \
+                brute_is_subgroup(ambient, union)
+        gamma = ambient.elements[rng.randrange(len(ambient))]
+        inner = PermGroup(degree, s.perms())
+        assert normalizes(gamma, inner) == brute_normalizes(gamma, inner)
+
+
+def test_order_and_index_match_sympy():
+    combinatorics = pytest.importorskip("sympy.combinatorics")
+
+    def sympy_order(sub_):
+        perms = [combinatorics.Permutation(list(p)) for p in sub_.perms()]
+        return combinatorics.PermutationGroup(perms).order()
+
+    rng = random.Random(29)
+    for degree in (4, 5, 6):
+        ambient = symmetric_group(degree)
+        whole = Subgroup(ambient, frozenset(range(len(ambient))))
+        assert len(ambient) == sympy_order(whole)
+        subs = [closure(random_subgroup_gens(rng, ambient), ambient)
+                for _ in range(6)]
+        orders = [sympy_order(s) for s in subs]
+        assert [len(s) for s in subs] == orders
+        for s, order in zip(subs, orders):
+            assert index_of(whole, s) == len(ambient) // order
+            for t in subs:
+                assert index_of(s, t) == order // sympy_order(s.intersect(t))
