@@ -1,10 +1,11 @@
 """Command-line entry points.
 
 Exit codes: 0 success/verified, 2 validation violations found,
-3 a hard cap was exceeded, 4 malformed input (including a negative
-`--samples`, `--bound` or `--n-max`), 5 internal error: a certificate
-failed re-verification (`--mode both` routes that disagree included),
-a descent did not stabilise, or a kernel consistency check failed.
+3 a hard cap was exceeded, 4 malformed input (including `--samples`
+below 1 and a negative `--bound` or `--n-max`), 5 internal error: a
+certificate failed re-verification (`--mode both` routes that disagree
+included), a descent did not stabilise, or a kernel consistency check
+failed.
 """
 
 from __future__ import annotations
@@ -49,9 +50,9 @@ def _solvable(loaded: LoadedFile):
     raise InputFormatError(f"kind {loaded.kind!r} has nothing to solve")
 
 
-def _non_negative(value: Optional[int], flag: str) -> None:
-    if value is not None and value < 0:
-        raise InputFormatError(f"{flag} must be non-negative, got {value}")
+def _at_least(low: int, value: Optional[int], flag: str) -> None:
+    if value is not None and value < low:
+        raise InputFormatError(f"{flag} must be at least {low}, got {value}")
 
 
 def cmd_solve(args) -> int:
@@ -75,7 +76,8 @@ def cmd_solve(args) -> int:
 
 
 def cmd_check(args) -> int:
-    _non_negative(args.samples, "--samples")
+    # A check that examined no pair would report a vacuous pass.
+    _at_least(1, args.samples, "--samples")
     try:
         loaded = load_file(args.input)
     except ConditionViolation as exc:
@@ -96,7 +98,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    _non_negative(args.bound, "--bound")
+    _at_least(0, args.bound, "--bound")
     loaded = load_file(args.input)
     inst = _solvable(loaded)
     found = feasible_set(inst, args.bound)
@@ -110,7 +112,7 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_eval_delta(args) -> int:
-    _non_negative(args.n_max, "--n-max")
+    _at_least(0, args.n_max, "--n-max")
     loaded = load_file(args.input)
     if loaded.metric is None:
         raise InputFormatError("eval-delta needs a metric instance file")

@@ -108,8 +108,10 @@ def orbit_closure(seeds: Sequence[Any], gamma_count: int,
     """Close the seed family under every symmetry generator.
 
     Returns the deduplicated family and the per-generator index action
-    table.  Finiteness plus injectivity of the generators makes closure
-    under forward application enough to capture the full group action.
+    table, which is recorded while closing: every generator is applied
+    to every member once.  Finiteness plus injectivity of the generators
+    makes closure under forward application enough to capture the full
+    group action.
     """
     if not seeds:
         raise ContractViolation("orbit closure needs at least one seed")
@@ -122,23 +124,28 @@ def orbit_closure(seeds: Sequence[Any], gamma_count: int,
             family.append(s)
     if len(family) > cap:
         raise OrbitCapExceeded(f"seed family of size {len(family)} exceeds cap {cap}")
-    frontier = list(family)
-    while frontier:
-        new: List[Any] = []
+    # Each member is acted on exactly once per generator, in the round in
+    # which it is the frontier [start, end); the image's index is the
+    # action table entry, so rows grow in family order.
+    action: List[List[int]] = [[] for _ in range(gamma_count)]
+    start = 0
+    while start < len(family):
+        end = len(family)
         for g in range(gamma_count):
-            for f in frontier:
+            row = action[g]
+            for f in family[start:end]:
                 img = act(g, f)
                 k = key(img)
-                if k not in index:
+                i = index.get(k)
+                if i is None:
                     if len(family) >= cap:
                         raise OrbitCapExceeded(
                             f"orbit closure exceeded cap {cap}; family not "
                             "uniformly commensurable at this scale or cap too low")
-                    index[k] = len(family)
+                    i = index[k] = len(family)
                     family.append(img)
-                    new.append(img)
-        frontier = new
-    action = [[index[key(act(g, f))] for f in family] for g in range(gamma_count)]
+                row.append(i)
+        start = end
     return family, action
 
 
@@ -154,39 +161,10 @@ def meet_of_family(inst: Instance):
     return out
 
 
-def find_strong(inst: Instance, mode: str = "full-meet"):
-    """An element realizing the minimal distance down-set.
-
-    full-meet: meet of the entire family (minimal by monotonicity).
-    greedy: from f_0, keep meeting with the lowest-indexed family member
-    that strictly shrinks the distance down-set or the element itself;
-    the result is checked against the full meet's down-set.
-    """
-    if mode not in ("full-meet", "greedy"):
-        raise ContractViolation(f"unknown strong-search mode {mode!r}")
-    full = meet_of_family(inst)
-    if mode == "full-meet":
-        return full
-    s = inst.family[0]
-    while True:
-        m_s = compute_m(inst, s)
-        chosen = None
-        for b in range(len(inst.family)):
-            cand = inst.meet(s, inst.family[b])
-            if inst.equals(cand, s):
-                continue
-            m_c = compute_m(inst, cand)
-            shrinks_m = m_c.is_subset(m_s) and not m_s.is_subset(m_c)
-            shrinks_elem = inst.leq(cand, s) and not inst.equals(cand, s)
-            if shrinks_m or shrinks_elem:
-                chosen = cand
-                break
-        if chosen is None:
-            break
-        s = chosen
-    if not compute_m(inst, s).same_as(compute_m(inst, full)):
-        raise CloseKnitError("greedy strong search missed the minimal down-set")
-    return s
+def find_strong(inst: Instance):
+    """An element realizing the minimal distance down-set: the meet of the
+    entire family, which is minimal by monotonicity."""
+    return meet_of_family(inst)
 
 
 def argmax_set(inst: Instance, s) -> List[int]:
@@ -247,7 +225,7 @@ def greatest_n(inst: Instance, mode: str = "full",
     by s meet t; n strictly increases, so the loop ends.
     """
     if mode == "full":
-        s = find_strong(inst, "full-meet")
+        s = find_strong(inst)
         return n_of(inst, s), s
     if mode != "proof":
         raise ContractViolation(f"unknown mode {mode!r}")

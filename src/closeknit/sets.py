@@ -1,15 +1,61 @@
-"""Subsets of a finite carrier, packed as int bitsets, with meet = intersection."""
+"""Subsets of a finite carrier, packed as int bitsets, with meet = intersection.
+
+Meet, join and the measures are single big-int operations.  The two
+operations that would otherwise walk the carrier bit by bit run as one
+C-level pass over a binary string instead: `permuter` builds, once per
+permutation, an `itemgetter` that gathers the image's binary digits from
+the input's, and `FiniteSubset.members` lists the set bits with
+`itertools.compress` over a byte-per-bit flag string.  A permutation's
+gather holds O(n) indices; no lookup table grows faster than the carrier.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Sequence, Tuple
+from itertools import compress
+from operator import itemgetter
+from typing import Callable, Iterable, List, Sequence, Tuple
 
 from .engine import EngineOptions, Instance, meet_and_sub_samples as _meet_and_sub_samples, orbit_closure
 from .errors import StructureMismatch
 from .indexposet import IndexValue
 
 MAX_CARRIER = 4096
+
+# bin() digits '0'/'1' to the bytes 0/1 that `compress` reads as flags.
+_DIGIT_FLAGS = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def permuter(perm: Sequence[int]) -> Callable[[int], int]:
+    """The bitset image map `bits -> bits` of a permutation of {0, ..., n-1}
+    given as an image array: point i of the input lands on perm[i].
+
+    Bit k of the image is bit inv[k] of the input.  In the zero-padded
+    binary string, whose position j holds bit n-1-j, that is one gather
+    of position n-1-inv[n-1-j] into position j.  Base-2 `format` and
+    `int` are exempt from the interpreter's int/str digit limit.
+    """
+    n = len(perm)
+    inv: List[int] = [-1] * n
+    try:
+        for i, p in enumerate(perm):
+            inv[p] = i
+        # n entries in [0, n) that fill every slot of inv are a bijection.
+        bijective = not n or (min(perm) >= 0 and -1 not in inv)
+    except IndexError:
+        bijective = False
+    if not bijective:
+        raise StructureMismatch(f"not a permutation of the carrier: {perm}")
+    if n == 0:
+        # itemgetter() without arguments raises; the empty carrier has
+        # the single subset 0.
+        return lambda bits: bits
+    gather = itemgetter(*[n - 1 - x for x in reversed(inv)])
+    spec = "0%db" % n
+
+    def image(bits: int) -> int:
+        return int("".join(gather(format(bits, spec))), 2)
+    return image
 
 
 @dataclass(frozen=True)
@@ -27,15 +73,21 @@ class FiniteSubset:
 
     @classmethod
     def from_members(cls, carrier_size: int, members: Iterable[int]) -> "FiniteSubset":
-        bits = 0
-        for m in members:
+        points = list(members)
+        for m in points:
             if not 0 <= m < carrier_size:
                 raise StructureMismatch(f"member {m} outside carrier of size {carrier_size}")
-            bits |= 1 << m
-        return cls(carrier_size, bits)
+        if not points:
+            return cls(carrier_size, 0)
+        digits = bytearray(b"0" * (max(points) + 1))
+        for m in points:
+            digits[m] = ord("1")
+        digits.reverse()
+        return cls(carrier_size, int(digits, 2))
 
     def members(self) -> List[int]:
-        return [i for i in range(self.carrier_size) if (self.bits >> i) & 1]
+        flags = bin(self.bits)[:1:-1].encode().translate(_DIGIT_FLAGS)
+        return list(compress(range(len(flags)), flags))
 
     def __len__(self) -> int:
         return self.bits.bit_count()
@@ -67,11 +119,7 @@ class FiniteSubset:
         """Image of the subset under a permutation given as an image array."""
         if len(perm) != self.carrier_size:
             raise StructureMismatch("permutation degree mismatch")
-        bits = 0
-        for i in range(self.carrier_size):
-            if (self.bits >> i) & 1:
-                bits |= 1 << perm[i]
-        return FiniteSubset(self.carrier_size, bits)
+        return FiniteSubset(self.carrier_size, permuter(perm)(self.bits))
 
 
 def measure_set(s: FiniteSubset, t: FiniteSubset) -> Tuple[int, int]:
@@ -91,11 +139,12 @@ class SetInstance(Instance):
         self.carrier_size = carrier_size
         self.options = options or EngineOptions()
         self.gamma: List[Tuple[int, ...]] = []
+        self._images: List[Callable[[int], int]] = []
         for p in gamma:
-            perm = tuple(p)
-            if sorted(perm) != list(range(carrier_size)):
+            if len(p) != carrier_size:
                 raise StructureMismatch(f"not a permutation of the carrier: {p}")
-            self.gamma.append(perm)
+            self._images.append(permuter(p))
+            self.gamma.append(tuple(p))
         for s in seeds:
             if s.carrier_size != carrier_size:
                 raise StructureMismatch("seed carrier mismatch")
@@ -122,7 +171,7 @@ class SetInstance(Instance):
         return len(self.gamma)
 
     def act(self, g: int, x: FiniteSubset) -> FiniteSubset:
-        return x.apply_permutation(self.gamma[g])
+        return FiniteSubset(self.carrier_size, self._images[g](x.bits))
 
     def join_span(self) -> FiniteSubset:
         out = self.family[0]

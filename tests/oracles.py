@@ -11,6 +11,9 @@ from fractions import Fraction
 from itertools import product
 from typing import List, Optional, Sequence
 
+from closeknit.engine import compute_m
+from closeknit.errors import StructureMismatch
+
 ONE = Fraction(1)
 ZERO = Fraction(0)
 
@@ -200,3 +203,79 @@ def increment_group_unoptimized(s, f) -> frozenset:
         result = conj if result is None else result & conj
     assert result is not None
     return result
+
+
+# -- strong search -----------------------------------------------------------
+
+def greedy_strong(inst):
+    """A strong element by greedy descent from f_0: keep meeting with the
+    lowest-indexed family member that strictly shrinks the distance
+    down-set or the element itself."""
+    s = inst.family[0]
+    while True:
+        m_s = compute_m(inst, s)
+        chosen = None
+        for b in range(len(inst.family)):
+            cand = inst.meet(s, inst.family[b])
+            if inst.equals(cand, s):
+                continue
+            m_c = compute_m(inst, cand)
+            shrinks_m = m_c.is_subset(m_s) and not m_s.is_subset(m_c)
+            shrinks_elem = inst.leq(cand, s) and not inst.equals(cand, s)
+            if shrinks_m or shrinks_elem:
+                chosen = cand
+                break
+        if chosen is None:
+            return s
+        s = chosen
+
+
+# -- bitset subsets ----------------------------------------------------------
+#
+# Bit-by-bit counterparts of the set kernel's single-pass string gathers.
+
+def bitloop_apply_permutation(bits: int, perm: Sequence[int]) -> int:
+    """Image bitset: bit perm[i] is set for every set bit i."""
+    out = 0
+    for i in range(len(perm)):
+        if (bits >> i) & 1:
+            out |= 1 << perm[i]
+    return out
+
+
+def bitloop_members(bits: int, carrier_size: int) -> List[int]:
+    return [i for i in range(carrier_size) if (bits >> i) & 1]
+
+
+def bitloop_from_members(carrier_size: int, members) -> int:
+    bits = 0
+    for m in members:
+        if not 0 <= m < carrier_size:
+            raise StructureMismatch(f"member {m} outside carrier of size {carrier_size}")
+        bits |= 1 << m
+    return bits
+
+
+# -- orbit closure -----------------------------------------------------------
+
+def two_pass_orbit_closure(seeds, gamma_count: int, act, key):
+    """Breadth-first closure over whole frontiers, then a second sweep that
+    re-applies every generator to every member to build the action table."""
+    family, index = [], {}
+    for s in seeds:
+        if key(s) not in index:
+            index[key(s)] = len(family)
+            family.append(s)
+    frontier = list(family)
+    while frontier:
+        new = []
+        for g in range(gamma_count):
+            for f in frontier:
+                img = act(g, f)
+                if key(img) not in index:
+                    index[key(img)] = len(family)
+                    family.append(img)
+                    new.append(img)
+        frontier = new
+    action = [[index[key(act(g, f))] for f in family] for g in range(gamma_count)]
+    return family, action

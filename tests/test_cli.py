@@ -293,6 +293,7 @@ def test_malformed_instances_exit_four_without_traceback(tmp_path):
     ["check", "-i", "set6.json", "--samples", "-5"],
     ["oracle", "-i", "s3.json", "--bound", "-1"],
     ["eval-delta", "-i", "metric_demo.json", "--n-max", "-1"],
+    ["check", "-i", "set6.json", "--samples", "0"],
 ])
 def test_negative_counts_exit_four(argv, capsys):
     argv = argv[:2] + [str(INSTANCES / argv[2])] + argv[3:]

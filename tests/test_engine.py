@@ -1,15 +1,23 @@
+import random
+from pathlib import Path
+
 import pytest
 
-from closeknit.abstract import load_abstract
-from closeknit.engine import (EngineOptions, argmax_set, compute_m,
-                              find_strong, greatest_n, meet_of_family, n_of,
-                              solve, strong_elements, validate_conditions,
+from closeknit.abstract import load_abstract, random_valid_instance
+from closeknit.engine import (DEFAULT_ORBIT_CAP, EngineOptions, argmax_set,
+                              compute_m, find_strong, greatest_n,
+                              meet_of_family, n_of, orbit_closure, solve,
+                              strong_elements, validate_conditions,
                               verify_certificate)
-from closeknit.errors import OrbitCapExceeded, StrongSearchExhausted
+from closeknit.errors import (CloseKnitError, OrbitCapExceeded,
+                              StrongSearchExhausted)
 from closeknit.groups import GroupInstance, PermGroup, subgroup_from_perms
 from closeknit.indexposet import nat
+from closeknit.instancefiles import load_file
 from closeknit.sets import FiniteSubset, SetInstance
-from tests.oracles import brute_orbit
+from tests.genrandom import (random_group_instance, random_set_instance,
+                             random_vector_instance)
+from tests.oracles import brute_orbit, greedy_strong, two_pass_orbit_closure
 
 
 def fs(n, members):
@@ -54,14 +62,14 @@ def test_compute_m_examples():
 
 def test_find_strong_modes_agree():
     inst = set6()
-    full = find_strong(inst, "full-meet")
-    greedy = find_strong(inst, "greedy")
+    full = find_strong(inst)
+    greedy = greedy_strong(inst)
     assert full == greedy == fs(6, [1, 2])
 
 
 def test_find_strong_singleton_family():
     inst = SetInstance(4, [fs(4, [1, 3])], [])
-    assert find_strong(inst, "greedy") == fs(4, [1, 3])
+    assert find_strong(inst) == greedy_strong(inst) == fs(4, [1, 3])
 
 
 def test_argmax_and_n_of_worked_example():
@@ -205,3 +213,70 @@ def test_sandwich_holds_on_examples():
     n = cert.invariant_element
     assert meet_of_family(inst).issubset(n)
     assert n.issubset(inst.join_span())
+
+
+# -- orbit closure against the two-pass oracle -------------------------------
+
+INSTANCE_FILES = sorted(
+    (Path(__file__).resolve().parent.parent / "instances").glob("*.json"))
+
+
+@pytest.fixture
+def closures(monkeypatch):
+    """Route every instance constructor's orbit closure through a recorder
+    that also runs the two-pass oracle on the same arguments."""
+    import closeknit.abstract
+    import closeknit.groups
+    import closeknit.sets
+    import closeknit.vect
+    recorded = []
+
+    def recording(seeds, gamma_count, act, key, cap=DEFAULT_ORBIT_CAP):
+        family, action = orbit_closure(seeds, gamma_count, act, key, cap)
+        o_family, o_action = two_pass_orbit_closure(seeds, gamma_count, act, key)
+        recorded.append(([key(f) for f in family], action,
+                         [key(f) for f in o_family], o_action))
+        return family, action
+    for module in (closeknit.abstract, closeknit.groups, closeknit.sets,
+                   closeknit.vect):
+        monkeypatch.setattr(module, "orbit_closure", recording)
+    return recorded
+
+
+def _assert_same_closures(recorded, at_least):
+    assert len(recorded) >= at_least
+    for family, action, o_family, o_action in recorded:
+        assert family == o_family
+        assert action == o_action
+
+
+def test_orbit_closure_matches_two_pass_on_instance_files(closures):
+    for path in INSTANCE_FILES:
+        try:
+            loaded = load_file(str(path))
+        except CloseKnitError:
+            continue                     # rejected on load: nothing to close
+        if loaded.galois is not None:
+            g = loaded.galois
+            GroupInstance(g.group, g.subgroup_seeds, g.gamma, loaded.options)
+    _assert_same_closures(closures, at_least=5)
+
+
+def test_orbit_closure_matches_two_pass_on_random_instances(closures):
+    rng = random.Random(77)
+    for _ in range(40):
+        random_set_instance(rng)
+        random_group_instance(rng)
+        random_vector_instance(rng)
+        random_valid_instance(rng)
+    _assert_same_closures(closures, at_least=160)
+
+
+def test_orbit_closure_matches_two_pass_on_wide_carriers(closures):
+    rng = random.Random(78)
+    for n in (63, 64, 65, 1000, 4096):
+        shift = [(i + n // 8) % n for i in range(n)]
+        reflect = list(range(n))[::-1]
+        seeds = [FiniteSubset(n, rng.getrandbits(n)) for _ in range(2)]
+        SetInstance(n, seeds, [shift, reflect])
+    _assert_same_closures(closures, at_least=5)

@@ -1,8 +1,13 @@
+import random
+
 import pytest
 
 from closeknit.engine import solve, validate_conditions
 from closeknit.errors import StructureMismatch
-from closeknit.sets import FiniteSubset, SetInstance, measure_set
+from closeknit.sets import FiniteSubset, SetInstance, measure_set, permuter
+from tests.genrandom import random_permutation
+from tests.oracles import (bitloop_apply_permutation, bitloop_from_members,
+                           bitloop_members)
 
 
 def fs(n, members):
@@ -107,3 +112,92 @@ def test_solve_set_worked_example():
         {"a": 0, "forward": 0, "backward": 1},
         {"a": 1, "forward": 0, "backward": 1},
     ]
+
+
+# -- kernel against the bit-by-bit oracles -----------------------------------
+
+CARRIERS = [0, 1, 2, 63, 64, 65, 1000, 4096]
+
+
+def _subsets(rng, n):
+    """Empty, full, dense random and sparse random bitsets of carrier n."""
+    out = [0, (1 << n) - 1]
+    for _ in range(3):
+        out.append(rng.getrandbits(n) if n else 0)
+        out.append(rng.getrandbits(n) & rng.getrandbits(n) & rng.getrandbits(n)
+                   if n else 0)
+    return out
+
+
+def _perms(rng, n):
+    return [list(range(n)), list(range(n))[::-1],
+            [(i + 1) % n for i in range(n)]] + \
+        [random_permutation(rng, n) for _ in range(3)]
+
+
+@pytest.mark.parametrize("n", CARRIERS)
+def test_apply_permutation_matches_bitloop(n):
+    rng = random.Random(1000 + n)
+    subsets = _subsets(rng, n)
+    for perm in _perms(rng, n):
+        image = permuter(perm)
+        for bits in subsets:
+            expected = bitloop_apply_permutation(bits, perm)
+            assert image(bits) == expected
+            assert FiniteSubset(n, bits).apply_permutation(perm).bits == expected
+
+
+@pytest.mark.parametrize("n", CARRIERS)
+def test_set_instance_act_matches_bitloop(n):
+    rng = random.Random(2000 + n)
+    perms = _perms(rng, n)
+    inst = SetInstance(n, [FiniteSubset(n, 0)], perms)
+    for bits in _subsets(rng, n):
+        for g, perm in enumerate(perms):
+            assert inst.act(g, FiniteSubset(n, bits)).bits == \
+                bitloop_apply_permutation(bits, perm)
+
+
+@pytest.mark.parametrize("n", CARRIERS)
+def test_members_matches_bitloop(n):
+    rng = random.Random(3000 + n)
+    for bits in _subsets(rng, n):
+        members = FiniteSubset(n, bits).members()
+        assert members == bitloop_members(bits, n)
+        assert FiniteSubset.from_members(n, members).bits == bits
+
+
+@pytest.mark.parametrize("n", CARRIERS)
+def test_from_members_matches_bitloop(n):
+    rng = random.Random(4000 + n)
+    lists = [[], list(range(n))]
+    for _ in range(4):
+        picks = [rng.randrange(n) for _ in range(rng.randint(1, 50))] if n else []
+        lists.append(picks)              # unsorted, with repeats
+    for members in lists:
+        assert FiniteSubset.from_members(n, iter(members)).bits == \
+            bitloop_from_members(n, members)
+
+
+@pytest.mark.parametrize("members", [[-1], [0, 5], [5, 0, 1]])
+def test_from_members_outside_carrier_matches_bitloop(members):
+    with pytest.raises(StructureMismatch) as oracle:
+        bitloop_from_members(5, members)
+    with pytest.raises(StructureMismatch) as kernel:
+        FiniteSubset.from_members(5, members)
+    assert str(kernel.value) == str(oracle.value)
+
+
+@pytest.mark.parametrize("perm", [[0, 0, 1], [0, 1, 3], [0, -1, 2], [1, 0, -1]])
+def test_non_permutation_rejected(perm):
+    with pytest.raises(StructureMismatch):
+        fs(3, [0, 1]).apply_permutation(perm)
+    with pytest.raises(StructureMismatch):
+        SetInstance(3, [fs(3, [0])], [perm])
+
+
+def test_permutation_degree_mismatch():
+    with pytest.raises(StructureMismatch, match="degree mismatch"):
+        fs(3, [0]).apply_permutation([1, 0])
+    with pytest.raises(StructureMismatch):
+        SetInstance(3, [fs(3, [0])], [[1, 0]])
