@@ -7,34 +7,58 @@ every symmetry.  Three concrete lattices are provided (finite subsets,
 subgroups of a finite permutation group, subspaces of F_p^n), plus
 direct tabular models, exact [0,1]-valued formula evaluators, and
 brute-force oracles that certify every output.
+
+Importing the package loads none of its submodules: each exported name
+is imported from its submodule on first access (PEP 562), so a command
+that needs one kind of lattice does not load the others.
 """
 
-from .abstract import (AbstractInstance, AbstractLattice, load_abstract,
-                       random_valid_instance, tabulate_instance)
-from .contlogic import (MetricStructure, delta_phi_n_group, delta_phi_n_set,
-                        delta_phi_n_vect, discrete_reduction,
-                        structure_from_group, structure_from_sets,
-                        structure_from_subspaces)
-from .engine import (Certificate, EngineOptions, Instance, ValidationReport,
-                     argmax_set, compute_m, find_strong, greatest_n, n_of,
-                     orbit_closure, solve, strong_elements,
-                     validate_conditions, verify_certificate)
-from .errors import (AssociativityViolation, CapExceeded, CloseKnitError,
-                     ConditionViolation, ContractViolation,
-                     ElementCapExceeded, EnumerationCapExceeded,
-                     EquivarianceViolation, IncrementViolation,
-                     InputFormatError, InvalidAction, MonotonicityViolation,
-                     OrbitCapExceeded, StrongSearchExhausted,
-                     StructureMismatch)
-from .galois import GaloisInstance, solve_galois
-from .groups import (GroupInstance, PermGroup, Subgroup, closure,
-                     conjugate_action, increment_group, index_of,
-                     measure_group, product_set, subgroup_from_perms)
-from .indexposet import (DownSet, IndexValue, downset_of, leq, maximal_in,
-                         nat, strictly_below)
-from .oracle import all_subgroups, all_subspaces, feasible_set, invariant_subsets
-from .sets import FiniteSubset, SetInstance, measure_set
-from .vect import SubspaceBasis, VectorInstance, add, codim, intersect, \
-    matrix_action, measure_vect
+from importlib import import_module as _import_module
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+_EXPORTS = {
+    "abstract": ("AbstractInstance", "AbstractLattice", "load_abstract",
+                 "random_valid_instance", "tabulate_instance"),
+    "contlogic": ("MetricStructure", "delta_phi_n_group", "delta_phi_n_set",
+                  "delta_phi_n_vect", "discrete_reduction",
+                  "structure_from_group", "structure_from_sets",
+                  "structure_from_subspaces"),
+    "engine": ("Certificate", "EngineOptions", "Instance", "ValidationReport",
+               "argmax_set", "compute_m", "find_strong", "greatest_n", "n_of",
+               "orbit_closure", "solve", "strong_elements",
+               "validate_conditions", "verify_certificate"),
+    "errors": ("AssociativityViolation", "CapExceeded", "CloseKnitError",
+               "ConditionViolation", "ContractViolation", "ElementCapExceeded",
+               "EnumerationCapExceeded", "EquivarianceViolation",
+               "IncrementViolation", "InputFormatError", "InvalidAction",
+               "MonotonicityViolation", "OrbitCapExceeded",
+               "StrongSearchExhausted", "StructureMismatch"),
+    "galois": ("GaloisInstance", "solve_galois"),
+    "groups": ("GroupInstance", "PermGroup", "Subgroup", "closure",
+               "conjugate_action", "increment_group", "index_of",
+               "measure_group", "product_set", "subgroup_from_perms"),
+    "indexposet": ("DownSet", "IndexValue", "downset_of", "leq", "maximal_in",
+                   "nat", "strictly_below"),
+    "oracle": ("all_subgroups", "all_subspaces", "feasible_set",
+               "invariant_subsets"),
+    "sets": ("FiniteSubset", "SetInstance", "measure_set"),
+    "vect": ("SubspaceBasis", "VectorInstance", "add", "codim", "intersect",
+             "matrix_action", "measure_vect"),
+}
+
+_ORIGIN = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted([*_ORIGIN, *_EXPORTS])
+
+
+def __getattr__(name):
+    if name in _EXPORTS:
+        return _import_module(f"{__name__}.{name}")
+    if name in _ORIGIN:
+        value = getattr(_import_module(f"{__name__}.{_ORIGIN[name]}"), name)
+        globals()[name] = value
+        return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -10,7 +10,6 @@ symmetry generator an automorphism commuting with all the data.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from itertools import permutations
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -21,17 +20,21 @@ from .errors import (AssociativityViolation, ConditionViolation,
 from .indexposet import IndexValue
 
 
-@dataclass
 class AbstractLattice:
     """Tabular model: meet table, family, distance and increment tables,
     and a list of element permutations acting as symmetries."""
 
-    size: int
-    meet_table: List[List[int]]
-    family: List[int]
-    delta_table: List[List[IndexValue]]  # [element][family position]
-    increment_table: List[List[int]]     # [element][family position]
-    gamma: List[Tuple[int, ...]]
+    def __init__(self, size: int, meet_table: List[List[int]],
+                 family: List[int],
+                 delta_table: List[List[IndexValue]],  # [element][family position]
+                 increment_table: List[List[int]],     # [element][family position]
+                 gamma: List[Tuple[int, ...]]):
+        self.size = size
+        self.meet_table = meet_table
+        self.family = family
+        self.delta_table = delta_table
+        self.increment_table = increment_table
+        self.gamma = gamma
 
     def leq(self, x: int, y: int) -> bool:
         return self.meet_table[x][y] == x

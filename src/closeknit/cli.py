@@ -1,30 +1,29 @@
 """Command-line entry points.
 
 Exit codes: 0 success/verified, 2 validation violations found,
-3 a hard cap was exceeded, 4 malformed input (including `--samples`
-below 1 and a negative `--bound` or `--n-max`), 5 internal error: a
-certificate failed re-verification (`--mode both` routes that disagree
-included), a descent did not stabilise, or a kernel consistency check
-failed.
+3 a hard cap was exceeded, 4 malformed input or unusable files
+(including `--samples` below 1, a negative `--bound` or `--n-max`, an
+input that is not UTF-8 JSON or is nested too deeply, and an output
+path that cannot be written), 5 internal error: a certificate failed
+re-verification (`--mode both` routes that disagree included), a
+descent did not stabilise, or a kernel consistency check failed.
+
+Each command imports the modules it needs when it runs, so a start-up
+loads only what its command and its file's kind use.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import asdict
 from typing import List, Optional
 
-from .contlogic import delta_phi_n_group, delta_phi_n_set, delta_phi_n_vect
 from .engine import solve, validate_conditions, verify_certificate
 from .errors import (CapExceeded, CloseKnitError, ConditionViolation,
                      ContractViolation, InputFormatError, InvalidAction,
                      StructureMismatch)
-from .galois import solve_galois
-from .groups import GroupInstance
 from .instancefiles import (LoadedFile, certificate_json, dump_canonical,
-                            index_value_json, load_file, number_json)
-from .oracle import feasible_set
+                            load_file, number_json)
 
 EXIT_OK = 0
 EXIT_VIOLATIONS = 2
@@ -35,8 +34,11 @@ EXIT_INTERNAL = 5
 
 def _emit(text: str, out_path: Optional[str]) -> None:
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise InputFormatError(f"cannot write {out_path}: {exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -45,6 +47,7 @@ def _solvable(loaded: LoadedFile):
     if loaded.instance is not None:
         return loaded.instance
     if loaded.galois is not None:
+        from .groups import GroupInstance
         return GroupInstance(loaded.galois.group, loaded.galois.subgroup_seeds,
                              loaded.galois.gamma, loaded.options)
     raise InputFormatError(f"kind {loaded.kind!r} has nothing to solve")
@@ -60,6 +63,7 @@ def cmd_solve(args) -> int:
     mode = args.mode or loaded.mode
     inst = _solvable(loaded)
     if loaded.galois is not None:
+        from .galois import solve_galois
         cert, descriptor = solve_galois(loaded.galois, mode=mode,
                                         options=loaded.options,
                                         with_trace=args.trace, inst=inst)
@@ -93,11 +97,13 @@ def cmd_check(args) -> int:
         return EXIT_OK
     inst = _solvable(loaded)
     result = validate_conditions(inst, samples=args.samples)
-    _emit(dump_canonical(asdict(result)), args.output)
+    _emit(dump_canonical(result.as_dict()), args.output)
     return EXIT_OK if result.ok else EXIT_VIOLATIONS
 
 
 def cmd_oracle(args) -> int:
+    from .oracle import feasible_set
+
     _at_least(0, args.bound, "--bound")
     loaded = load_file(args.input)
     inst = _solvable(loaded)
@@ -112,6 +118,8 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_eval_delta(args) -> int:
+    from .contlogic import delta_phi_n_group, delta_phi_n_set, delta_phi_n_vect
+
     _at_least(0, args.n_max, "--n-max")
     loaded = load_file(args.input)
     if loaded.metric is None:

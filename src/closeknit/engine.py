@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import random
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
 from .errors import (CloseKnitError, ContractViolation, OrbitCapExceeded,
@@ -32,13 +31,15 @@ DEFAULT_ORBIT_CAP = 10_000
 DEFAULT_SUBSET_CAP = 1 << 14
 
 
-@dataclass
 class EngineOptions:
     """Hard limits; overruns raise, they never truncate silently."""
 
-    max_orbit: int = DEFAULT_ORBIT_CAP
-    max_elements: int = 100_000
-    strong_subset_cap: int = DEFAULT_SUBSET_CAP
+    def __init__(self, max_orbit: int = DEFAULT_ORBIT_CAP,
+                 max_elements: int = 100_000,
+                 strong_subset_cap: int = DEFAULT_SUBSET_CAP):
+        self.max_orbit = max_orbit
+        self.max_elements = max_elements
+        self.strong_subset_cap = strong_subset_cap
 
 
 class Instance(ABC):
@@ -266,21 +267,26 @@ def greatest_n(inst: Instance, mode: str = "full",
     raise CloseKnitError("descent failed to stabilize; lattice data inconsistent")
 
 
-@dataclass
 class Certificate:
     """Verifiable output of a solve run."""
 
-    kind: str
-    invariant_element: Any
-    gamma_fixed: bool
-    measures: List[dict]
-    orbit_size: int
-    strong_element: Any
-    argmax_indices: List[int]
-    m_generators: DownSet
-    bound: Optional[int] = None
-    mode_agreement: Optional[bool] = None
-    trace: Optional[List[dict]] = None
+    def __init__(self, kind: str, invariant_element: Any, gamma_fixed: bool,
+                 measures: List[dict], orbit_size: int, strong_element: Any,
+                 argmax_indices: List[int], m_generators: DownSet,
+                 bound: Optional[int] = None,
+                 mode_agreement: Optional[bool] = None,
+                 trace: Optional[List[dict]] = None):
+        self.kind = kind
+        self.invariant_element = invariant_element
+        self.gamma_fixed = gamma_fixed
+        self.measures = measures
+        self.orbit_size = orbit_size
+        self.strong_element = strong_element
+        self.argmax_indices = argmax_indices
+        self.m_generators = m_generators
+        self.bound = bound
+        self.mode_agreement = mode_agreement
+        self.trace = trace
 
 
 def _measures_of(inst: Instance, n) -> Tuple[List[dict], Optional[int]]:
@@ -347,18 +353,25 @@ def solve(inst: Instance, mode: str = "full",
     )
 
 
-@dataclass
 class ValidationReport:
     """Outcome of checking the defining conditions on an instance."""
 
-    violations: List[dict] = field(default_factory=list)
-    notes: List[str] = field(default_factory=list)
-    checked_pairs: int = 0
-    checked_elements: int = 0
+    def __init__(self, violations: Optional[List[dict]] = None,
+                 notes: Optional[List[str]] = None, checked_pairs: int = 0,
+                 checked_elements: int = 0):
+        self.violations: List[dict] = [] if violations is None else violations
+        self.notes: List[str] = [] if notes is None else notes
+        self.checked_pairs = checked_pairs
+        self.checked_elements = checked_elements
 
     @property
     def ok(self) -> bool:
         return not self.violations
+
+    def as_dict(self) -> dict:
+        return {"violations": self.violations, "notes": self.notes,
+                "checked_pairs": self.checked_pairs,
+                "checked_elements": self.checked_elements}
 
 
 def validate_conditions(inst: Instance, samples: int = 1000,

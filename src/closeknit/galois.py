@@ -9,18 +9,18 @@ symbolically through index data, with no field arithmetic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from .engine import Certificate, EngineOptions, solve
 from .groups import GroupInstance, PermGroup, Subgroup, index_of
 
 
-@dataclass
 class GaloisInstance:
-    group: PermGroup
-    subgroup_seeds: List[Subgroup]
-    gamma: List[Tuple[int, ...]]
+    def __init__(self, group: PermGroup, subgroup_seeds: List[Subgroup],
+                 gamma: List[Tuple[int, ...]]):
+        self.group = group
+        self.subgroup_seeds = subgroup_seeds
+        self.gamma = gamma
 
 
 def family_commensurability(inst: GroupInstance) -> int:

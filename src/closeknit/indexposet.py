@@ -9,7 +9,6 @@ generators, which determines it completely.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, List, Sequence, Tuple, Union
 
@@ -18,11 +17,42 @@ from .errors import ContractViolation, StructureMismatch
 Level = Union[int, Fraction]
 
 
-@dataclass(frozen=True)
-class IndexValue:
+class FrozenValue:
+    """Immutable value with its fields in `__slots__`: assignment and
+    deletion raise AttributeError, and the repr lists the fields.
+    Subclasses define `__eq__` and `__hash__` over the field tuple."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class IndexValue(FrozenValue):
     """One point of the index poset: a fixed-length vector of levels."""
 
-    coords: Tuple[Level, ...]
+    __slots__ = ("coords",)
+
+    def __init__(self, coords: Tuple[Level, ...]):
+        object.__setattr__(self, "coords", coords)
+        # One method per construction: the benchmark's tracer counts index
+        # values by wrapping `__post_init__`.
+        self.__post_init__()
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.coords == other.coords
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.coords,))
 
     def __post_init__(self):
         if not isinstance(self.coords, tuple):
@@ -63,14 +93,24 @@ def leq(xi: IndexValue, zeta: IndexValue) -> bool:
     return all(a <= b for a, b in zip(xi.coords, zeta.coords))
 
 
-@dataclass(frozen=True)
-class DownSet:
+class DownSet(FrozenValue):
     """Downward closure of finitely many index values, kept as an antichain.
 
     Membership: xi is in the down-set iff xi <= g for some generator g.
     """
 
-    generators: Tuple[IndexValue, ...]
+    __slots__ = ("generators",)
+
+    def __init__(self, generators: Tuple[IndexValue, ...]):
+        object.__setattr__(self, "generators", generators)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.generators == other.generators
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.generators,))
 
     def __contains__(self, xi: IndexValue) -> bool:
         return any(leq(xi, g) for g in self.generators)

@@ -4,24 +4,24 @@ Wire format rules: every numeric is an integer or a [numerator,
 denominator] pair; floats are rejected.  Certificates are emitted as
 canonical JSON (sorted keys, compact separators) so identical inputs
 produce identical bytes.
+
+Each kind's loader imports its own kind module, so reading a file loads
+only the modules that its kind needs.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, List, Optional, Union
+from typing import TYPE_CHECKING, Any, List, Optional, Union
 
-from .abstract import load_abstract
-from .contlogic import MetricStructure
 from .engine import Certificate, EngineOptions, Instance
 from .errors import InputFormatError
-from .galois import GaloisInstance
-from .groups import PermGroup, subgroup_from_perms, GroupInstance
 from .indexposet import IndexValue
-from .sets import FiniteSubset, SetInstance
-from .vect import SubspaceBasis, VectorInstance
+
+if TYPE_CHECKING:
+    from .contlogic import MetricStructure
+    from .galois import GaloisInstance
 
 KIND_BLOCKS = ("set", "group", "vector", "abstract", "galois", "metric")
 
@@ -73,17 +73,27 @@ def _square_matrix(value: Any, dim: int, field: str) -> List[List[int]]:
     return rows
 
 
-@dataclass
+def _as_size(value: Any, field: str) -> int:
+    size = _as_int(value, field)
+    _require(size >= 0, f"{field}: expected a non-negative integer, got {size}")
+    return size
+
+
 class LoadedFile:
     """Parsed instance file: the kind block turned into live objects."""
 
-    kind: str
-    instance: Optional[Instance] = None
-    galois: Optional[GaloisInstance] = None
-    metric: Optional[MetricStructure] = None
-    metric_subsets: Optional[List[List[int]]] = None
-    options: EngineOptions = None  # type: ignore[assignment]
-    mode: str = "full"
+    def __init__(self, kind: str, instance: Optional[Instance] = None,
+                 galois: Optional[GaloisInstance] = None,
+                 metric: Optional[MetricStructure] = None,
+                 metric_subsets: Optional[List[List[int]]] = None,
+                 options: Optional[EngineOptions] = None, mode: str = "full"):
+        self.kind = kind
+        self.instance = instance
+        self.galois = galois
+        self.metric = metric
+        self.metric_subsets = metric_subsets
+        self.options = options
+        self.mode = mode
 
 
 def parse_options(raw: Any) -> "tuple[EngineOptions, str]":
@@ -119,6 +129,12 @@ def load_file(path: str) -> LoadedFile:
         raise InputFormatError(
             f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: "
             f"{exc.msg}") from exc
+    except ValueError as exc:
+        # Bytes that are not UTF-8, or an integer literal past the
+        # interpreter's int/str digit limit.
+        raise InputFormatError(f"{path}: {exc}") from exc
+    except RecursionError as exc:
+        raise InputFormatError(f"{path}: JSON nested too deeply") from exc
     return load_dict(data)
 
 
@@ -144,6 +160,8 @@ def load_dict(data: Any) -> LoadedFile:
 
 
 def _load_set(block: dict, options: EngineOptions, mode: str) -> LoadedFile:
+    from .sets import FiniteSubset, SetInstance
+
     carrier = _as_int(block.get("carrier_size"), "set.carrier_size")
     seeds_raw = block.get("seeds")
     _require(isinstance(seeds_raw, list) and seeds_raw, "set.seeds: non-empty list")
@@ -155,7 +173,9 @@ def _load_set(block: dict, options: EngineOptions, mode: str) -> LoadedFile:
 
 
 def _load_group(block: dict, options: EngineOptions, mode: str) -> LoadedFile:
-    degree = _as_int(block.get("degree"), "group.degree")
+    from .groups import GroupInstance, PermGroup, subgroup_from_perms
+
+    degree = _as_size(block.get("degree"), "group.degree")
     gens = _int_matrix(block.get("generators"), "group.generators")
     ambient = PermGroup(degree, gens, element_cap=options.max_elements)
     seeds_raw = block.get("seeds")
@@ -168,8 +188,10 @@ def _load_group(block: dict, options: EngineOptions, mode: str) -> LoadedFile:
 
 
 def _load_vector(block: dict, options: EngineOptions, mode: str) -> LoadedFile:
+    from .vect import SubspaceBasis, VectorInstance
+
     p = _as_int(block.get("p"), "vector.p")
-    dim = _as_int(block.get("dim"), "vector.dim")
+    dim = _as_size(block.get("dim"), "vector.dim")
     seeds_raw = block.get("seeds")
     _require(isinstance(seeds_raw, list) and seeds_raw, "vector.seeds: non-empty list")
     seeds = [SubspaceBasis.from_vectors(p, dim, _int_matrix(s, "vector.seeds"))
@@ -182,6 +204,8 @@ def _load_vector(block: dict, options: EngineOptions, mode: str) -> LoadedFile:
 
 
 def _load_abstract(block: dict, options: EngineOptions, mode: str) -> LoadedFile:
+    from .abstract import load_abstract
+
     for field in ("size", "meet_table", "family", "delta_table", "increment_table"):
         _require(field in block, f"abstract.{field} is required")
     delta_rows = block["delta_table"]
@@ -201,7 +225,10 @@ def _load_abstract(block: dict, options: EngineOptions, mode: str) -> LoadedFile
 
 
 def _load_galois(block: dict, options: EngineOptions, mode: str) -> LoadedFile:
-    degree = _as_int(block.get("degree"), "galois.degree")
+    from .galois import GaloisInstance
+    from .groups import PermGroup, subgroup_from_perms
+
+    degree = _as_size(block.get("degree"), "galois.degree")
     gens = _int_matrix(block.get("generators"), "galois.generators")
     ambient = PermGroup(degree, gens, element_cap=options.max_elements)
     seeds_raw = block.get("subgroup_seeds")
@@ -215,6 +242,8 @@ def _load_galois(block: dict, options: EngineOptions, mode: str) -> LoadedFile:
 
 
 def _load_metric(block: dict, options: EngineOptions, mode: str) -> LoadedFile:
+    from .contlogic import MetricStructure
+
     k = _as_int(block.get("points"), "metric.points")
     dist_raw = block.get("distance")
     _require(isinstance(dist_raw, list), "metric.distance: expected a table")

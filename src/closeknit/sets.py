@@ -11,14 +11,13 @@ gather holds O(n) indices; no lookup table grows faster than the carrier.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import compress
 from operator import itemgetter
 from typing import Callable, Iterable, List, Sequence, Tuple
 
 from .engine import EngineOptions, Instance, meet_and_sub_samples as _meet_and_sub_samples, orbit_closure
 from .errors import StructureMismatch
-from .indexposet import IndexValue
+from .indexposet import FrozenValue, IndexValue
 
 MAX_CARRIER = 4096
 
@@ -58,18 +57,26 @@ def permuter(perm: Sequence[int]) -> Callable[[int], int]:
     return image
 
 
-@dataclass(frozen=True)
-class FiniteSubset:
+class FiniteSubset(FrozenValue):
     """A subset of {0, ..., carrier_size-1} stored as a bit vector."""
 
-    carrier_size: int
-    bits: int
+    __slots__ = ("carrier_size", "bits")
 
-    def __post_init__(self):
-        if not 0 <= self.carrier_size <= MAX_CARRIER:
-            raise StructureMismatch(f"carrier size {self.carrier_size} out of range")
-        if self.bits < 0 or self.bits >> self.carrier_size:
+    def __init__(self, carrier_size: int, bits: int):
+        if not 0 <= carrier_size <= MAX_CARRIER:
+            raise StructureMismatch(f"carrier size {carrier_size} out of range")
+        if bits < 0 or bits >> carrier_size:
             raise StructureMismatch("members outside the carrier")
+        object.__setattr__(self, "carrier_size", carrier_size)
+        object.__setattr__(self, "bits", bits)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.carrier_size, self.bits) == (other.carrier_size, other.bits)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.carrier_size, self.bits))
 
     @classmethod
     def from_members(cls, carrier_size: int, members: Iterable[int]) -> "FiniteSubset":

@@ -117,6 +117,63 @@ def test_missing_file_exit_four():
     assert run(["solve", "-i", "/nonexistent/nope.json"]) == 4
 
 
+def _not_utf8(tmp_path):
+    path = tmp_path / "binary.json"
+    path.write_bytes(b"\x7fELF\xff\xfe\x00{}")
+    return ["solve", "-i", str(path)]
+
+
+def _deep_nesting(tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200_000 + "]" * 200_000, encoding="utf-8")
+    return ["solve", "-i", str(path)]
+
+
+def _huge_integer(tmp_path):
+    path = tmp_path / "huge.json"
+    path.write_text('{"kind": "set", "set": {"carrier_size": 1%s, '
+                    '"seeds": [[0]]}}' % ("0" * 5000), encoding="utf-8")
+    return ["solve", "-i", str(path)]
+
+
+def _unwritable_output(tmp_path):
+    return ["solve", "-i", str(INSTANCES / "set6.json"),
+            "-o", str(tmp_path / "missing" / "out.json")]
+
+
+@pytest.mark.parametrize("make_argv,message", [
+    (_not_utf8, "codec can't decode"),
+    (_deep_nesting, "nested too deeply"),
+    (_huge_integer, "digits"),
+    (_unwritable_output, "cannot write"),
+], ids=["not-utf8", "deep-nesting", "huge-integer", "unwritable-output"])
+def test_unusable_files_exit_four_without_traceback(make_argv, message,
+                                                     tmp_path, capsys):
+    assert run(make_argv(tmp_path)) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("input error:")
+    assert message in captured.err
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("payload,message", [
+    ({"kind": "group",
+      "group": {"degree": -1, "generators": [], "seeds": [[]]}},
+     "group.degree: expected a non-negative integer, got -1"),
+    ({"kind": "galois",
+      "galois": {"degree": -2, "generators": [], "subgroup_seeds": [[]]}},
+     "galois.degree: expected a non-negative integer, got -2"),
+    ({"kind": "vector", "vector": {"p": 2, "dim": -1, "seeds": [[]]}},
+     "vector.dim: expected a non-negative integer, got -1"),
+], ids=["group", "galois", "vector"])
+def test_negative_structural_size_exit_four(payload, message, tmp_path, capsys):
+    assert run(["solve", "-i", write(tmp_path, "neg.json", payload)]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"input error: {message}\n"
+
+
 def test_two_kind_blocks_rejected(tmp_path):
     path = write(tmp_path, "two.json", {
         "kind": "set",

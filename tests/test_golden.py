@@ -1,12 +1,18 @@
-"""Byte stability of `closeknit solve` on every file in `instances/`.
+"""Byte stability of every `closeknit` command on every file in `instances/`.
 
 Each file is solved in modes full, proof and both, and once with
-`--trace` in the file's own mode.  The table holds the exit code and the
+`--trace` in the file's own mode.  `GOLDEN` holds the exit code and the
 sha256 of stdout for each run, recorded on the code as it stood before
 the set kernel's single-pass rewrite (one-gather permutation images and
-an orbit closure that records the action table as it goes).  A change
-that keeps behaviour keeps every row; a change that means to alter a
-certificate must re-record the table and say why.
+an orbit closure that records the action table as it goes).
+
+`OTHER_GOLDEN` does the same for `check` (default `--samples`),
+`oracle --bound 2` and `eval-delta` (default `--n-max`), recorded on the
+code as it stood before the start-up change (lazy package exports,
+per-command imports, plain classes in place of dataclasses).
+
+A change that keeps behaviour keeps every row; a change that means to
+alter an output must re-record its table and say why.
 """
 
 import contextlib
@@ -55,16 +61,63 @@ GOLDEN = {
 }
 
 
-def test_table_covers_every_instance_file():
+OTHER_RUNS = {"check": ["check"], "oracle": ["oracle", "--bound", "2"],
+              "eval-delta": ["eval-delta"]}
+
+OTHER_GOLDEN = {
+    ("broken_abstract.json", "check"): (2, "6189d089e2bff0136413cbc1e15908effb1002127c6abbffeafcabd662dc69a0"),
+    ("broken_abstract.json", "oracle"): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("broken_abstract.json", "eval-delta"): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("diamond.json", "check"): (0, "c431b8956046536ece6952b9c65c269a40b8b1447c8920b8a7a97b46f8ddac95"),
+    ("diamond.json", "oracle"): (0, "51937acfe3d0e5e46fbaeb19ff421d0273af49ee4a2efbf7990303e2b0ab8fa5"),
+    ("diamond.json", "eval-delta"): (4, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("metric_demo.json", "check"): (0, "9e28571fff5e29595c8efbf713c53a41410be63e01bbaf8a998fc63710610403"),
+    ("metric_demo.json", "oracle"): (4, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("metric_demo.json", "eval-delta"): (0, "60cc73a6a66ec3fba3efe5fb134cda2a9542ae6301bcdaec9b60b8b5baf0df1a"),
+    ("planes_f2_3.json", "check"): (0, "80baa173e01a90c476dad4570a22d3a7e6dc43ae9ce8077be0a35cf13a077c32"),
+    ("planes_f2_3.json", "oracle"): (0, "09cf86a769a2ca7f9247c1daab0c5b4201047c29bcbd6a8654f3f6cb3627702f"),
+    ("planes_f2_3.json", "eval-delta"): (4, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("s3.json", "check"): (0, "80baa173e01a90c476dad4570a22d3a7e6dc43ae9ce8077be0a35cf13a077c32"),
+    ("s3.json", "oracle"): (0, "209508889d6a01ac4e1e2d4a01b5bcb4fe59cb2195193127cf98fa67c42ea968"),
+    ("s3.json", "eval-delta"): (4, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("s4_sylow.json", "check"): (0, "80baa173e01a90c476dad4570a22d3a7e6dc43ae9ce8077be0a35cf13a077c32"),
+    ("s4_sylow.json", "oracle"): (0, "e53106a70328048319f69716ecc09b6cd720f1dd3b57f8a7115b3b69a5107261"),
+    ("s4_sylow.json", "eval-delta"): (4, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("set6.json", "check"): (0, "f564df0f59c6a14c309e458577499e9a18d162959053f28843e02ee0a4998210"),
+    ("set6.json", "oracle"): (0, "88f198e704b89273feab6b2ea4ec7a8a033a7b92daa938456ce20a821879e312"),
+    ("set6.json", "eval-delta"): (4, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+}
+
+
+def _run_digest(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv)
+    return code, hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()
+
+
+def _assert_covers_every_instance_file(table, runs):
     files = {p.name for p in INSTANCES.glob("*.json")}
-    assert {name for name, _ in GOLDEN} == files
-    assert {run_name for _, run_name in GOLDEN} == set(RUNS)
+    assert {name for name, _ in table} == files
+    assert {run_name for _, run_name in table} == set(runs)
+
+
+def test_table_covers_every_instance_file():
+    _assert_covers_every_instance_file(GOLDEN, RUNS)
+
+
+def test_other_table_covers_every_instance_file():
+    _assert_covers_every_instance_file(OTHER_GOLDEN, OTHER_RUNS)
 
 
 @pytest.mark.parametrize("name,run_name", sorted(GOLDEN))
 def test_solve_output_is_byte_stable(name, run_name):
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = run(["solve", "-i", str(INSTANCES / name)] + RUNS[run_name])
-    digest = hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()
-    assert (code, digest) == GOLDEN[name, run_name]
+    argv = ["solve", "-i", str(INSTANCES / name)] + RUNS[run_name]
+    assert _run_digest(argv) == GOLDEN[name, run_name]
+
+
+@pytest.mark.parametrize("name,run_name", sorted(OTHER_GOLDEN))
+def test_other_command_output_is_byte_stable(name, run_name):
+    command, *flags = OTHER_RUNS[run_name]
+    argv = [command, "-i", str(INSTANCES / name)] + flags
+    assert _run_digest(argv) == OTHER_GOLDEN[name, run_name]
