@@ -124,7 +124,8 @@ def orbit_closure(seeds: Sequence[Any], gamma_count: int,
             index[k] = len(family)
             family.append(s)
     if len(family) > cap:
-        raise OrbitCapExceeded(f"seed family of size {len(family)} exceeds cap {cap}")
+        raise OrbitCapExceeded(
+            f"seed family of size {len(family)} exceeds max_orbit {cap}")
     # Each member is acted on exactly once per generator, in the round in
     # which it is the frontier [start, end); the image's index is the
     # action table entry, so rows grow in family order.
@@ -141,8 +142,8 @@ def orbit_closure(seeds: Sequence[Any], gamma_count: int,
                 if i is None:
                     if len(family) >= cap:
                         raise OrbitCapExceeded(
-                            f"orbit closure exceeded cap {cap}; family not "
-                            "uniformly commensurable at this scale or cap too low")
+                            f"orbit closure reached {len(family) + 1} members, "
+                            f"past max_orbit {cap}")
                     i = index[k] = len(family)
                     family.append(img)
                 row.append(i)
@@ -196,7 +197,7 @@ def strong_elements(inst: Instance, subset_cap: int = DEFAULT_SUBSET_CAP) -> Lis
     total = (1 << n) - 1
     if total > subset_cap:
         raise StrongSearchExhausted(
-            f"{total} subset meets exceed cap {subset_cap}")
+            f"{total} subset meets exceed strong_subset_cap {subset_cap}")
     m_min = compute_m(inst, meet_of_family(inst))
     meets: Dict[int, Any] = {}
     out: List[Any] = []
@@ -379,12 +380,17 @@ def validate_conditions(inst: Instance, samples: int = 1000,
     """Check distance monotonicity, increment growth, and the equal-distance
     increment collapse on sampled (or, for tabular instances, all) pairs.
 
-    Violations are returned as data, never raised.
+    Samples repeat; each distinct element and pair (by `inst.key`) is
+    checked and counted once.  Violations are returned as data, never
+    raised.
     """
     rng = rng or random.Random(0)
     report = ValidationReport()
     elements, pairs = inst.validation_samples(rng, samples)
     n_a = len(inst.family)
+    key = inst.key
+    elements = {key(s): s for s in elements}.values()
+    pairs = {(key(t), key(s)): (t, s) for t, s in pairs}.values()
 
     for s in elements:
         report.checked_elements += 1

@@ -1,13 +1,24 @@
 """Subspaces of F_p^n in canonical reduced row-echelon form.
 
 Exact arithmetic mod a prime p; equal subspaces always have identical
-row matrices, so element equality is matrix equality.  Intersections use
-the Zassenhaus double-block reduction, sums plain concatenation.
+row matrices, so element equality is matrix equality.
+
+Over F_2 a subspace also holds its rows packed into ints, column 0 in
+the top bit, and every elimination works on those by XOR: a row is
+reduced against an echelon basis by `x = min(x, x ^ r)`, which clears
+r's leading bit in x exactly when x has it set (the packed-row scheme of
+M4RI).  The RREF tuples are built once per new subspace.  Odd p
+eliminates on lists of residues.
+
+Codimension and measures need ranks only: `codim(s, t)` is
+`rank(s + t) - rank(t)` by the dimension formula, one elimination of
+width n.  Only the meet itself needs the Zassenhaus double-block
+reduction, of width 2n.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
 from .engine import EngineOptions, Instance, meet_and_sub_samples, orbit_closure
 from .errors import InvalidAction, StructureMismatch
@@ -52,15 +63,62 @@ def _rref(rows: List[List[int]], p: int, width: int) -> List[List[int]]:
     return [row for row in rows[:pivot_row]]
 
 
-class SubspaceBasis:
-    """A subspace of F_p^dim held as a canonical RREF basis matrix."""
+def _pack(row: Sequence[int]) -> int:
+    """An F_2 row as an int, column 0 in the top bit."""
+    return int("".join(map(str, row)) or "0", 2)
 
-    __slots__ = ("p", "dim", "rows")
+
+def _echelon2(basis: List[int], rows: Iterable[int]) -> List[int]:
+    """Extend an F_2 echelon basis of packed rows, in place, by `rows`.
+
+    Each basis row must be zero at the leading bits of the rows before
+    it, as RREF rows are.  Then leading bits are distinct, one pass of
+    `min(x, x ^ r)` clears all of them from x, and a nonzero remainder
+    is independent and is appended, keeping the condition.
+    """
+    for x in rows:
+        for r in basis:
+            x = min(x, x ^ r)
+        if x:
+            basis.append(x)
+    return basis
+
+
+def _reduced2(basis: List[int]) -> List[int]:
+    """RREF of an F_2 echelon basis: rows by falling leading bit, each
+    cleared at the pivots of the rows below it."""
+    rows = sorted(basis, reverse=True)
+    for i, x in enumerate(rows):
+        for r in rows[i + 1:]:
+            x = min(x, x ^ r)
+        rows[i] = x
+    return rows
+
+
+class SubspaceBasis:
+    """A subspace of F_p^dim held as a canonical RREF basis matrix.
+
+    `bits` holds the same rows packed into ints when p is 2, else None.
+    """
+
+    __slots__ = ("p", "dim", "rows", "bits")
 
     def __init__(self, p: int, dim: int, rows: Matrix):
         self.p = p
         self.dim = dim
         self.rows = rows
+        self.bits = tuple(map(_pack, rows)) if p == 2 else None
+
+    @classmethod
+    def _from_bits(cls, dim: int, bits: List[int]) -> "SubspaceBasis":
+        """The F_2 subspace whose packed RREF rows are `bits`."""
+        out = cls.__new__(cls)
+        out.p = 2
+        out.dim = dim
+        out.bits = tuple(bits)
+        form = f"0{dim}b"
+        out.rows = tuple(tuple(map(int, format(x, form))) for x in bits)
+        return out
 
     @classmethod
     def from_vectors(cls, p: int, dim: int, vectors: Sequence[Sequence[int]]) -> "SubspaceBasis":
@@ -71,6 +129,8 @@ class SubspaceBasis:
             if len(v) != dim:
                 raise StructureMismatch(f"vector length {len(v)} != dim {dim}")
             work.append([x % p for x in v])
+        if p == 2:
+            return cls._from_bits(dim, _reduced2(_echelon2([], map(_pack, work))))
         rows = _rref(work, p, dim)
         return cls(p, dim, tuple(tuple(r) for r in rows))
 
@@ -109,8 +169,7 @@ class SubspaceBasis:
         return not any(residue)
 
     def leq(self, other: "SubspaceBasis") -> bool:
-        self._check(other)
-        return all(other.contains_vector(r) for r in self.rows)
+        return codim(self, other) == 0
 
     def vectors(self) -> List[Vector]:
         """All p^rank member vectors (small subspaces only)."""
@@ -125,26 +184,45 @@ def intersect(s: SubspaceBasis, t: SubspaceBasis) -> SubspaceBasis:
     """Meet of two subspaces via the Zassenhaus block trick."""
     s._check(t)
     p, dim = s.p, s.dim
+    if p == 2:
+        # t's RREF rows, shifted, already form an echelon basis.
+        block = _echelon2([r << dim for r in t.bits], [(r << dim) | r for r in s.bits])
+        top = 1 << dim
+        return SubspaceBasis._from_bits(dim, _reduced2([r for r in block if r < top]))
     block = [list(r) + list(r) for r in s.rows] + [list(r) + [0] * dim for r in t.rows]
+    # The RREF rows with a zero left half come last, and their right
+    # halves are already the RREF of the meet.
     reduced = _rref(block, p, 2 * dim)
-    inter = [row[dim:] for row in reduced if not any(row[:dim])]
-    return SubspaceBasis.from_vectors(p, dim, inter)
+    return SubspaceBasis(p, dim, tuple(tuple(row[dim:]) for row in reduced
+                                       if not any(row[:dim])))
 
 
 def add(s: SubspaceBasis, t: SubspaceBasis) -> SubspaceBasis:
     """Sum of two subspaces (the join)."""
     s._check(t)
+    if s.p == 2:
+        return SubspaceBasis._from_bits(s.dim, _reduced2(_echelon2(list(s.bits), t.bits)))
     return SubspaceBasis.from_vectors(s.p, s.dim, list(s.rows) + list(t.rows))
 
 
+def _sum_rank(s: SubspaceBasis, t: SubspaceBasis) -> int:
+    """rank(s + t), by elimination alone."""
+    s._check(t)
+    if s.p == 2:
+        return len(_echelon2(list(t.bits), s.bits))
+    return len(_rref([list(r) for r in t.rows + s.rows], s.p, s.dim))
+
+
 def codim(s: SubspaceBasis, t: SubspaceBasis) -> int:
-    """Codimension of the meet inside s: dim(s) - dim(s meet t)."""
-    return s.rank - intersect(s, t).rank
+    """Codimension of the meet inside s: dim(s) - dim(s meet t), which
+    the dimension formula makes rank(s + t) - rank(t)."""
+    return _sum_rank(s, t) - t.rank
 
 
 def measure_vect(s: SubspaceBasis, t: SubspaceBasis) -> Tuple[int, int]:
-    inter_rank = intersect(s, t).rank
-    return s.rank - inter_rank, t.rank - inter_rank
+    """(codim of the meet in s, codim of the meet in t)."""
+    sum_rank = _sum_rank(s, t)
+    return sum_rank - t.rank, sum_rank - s.rank
 
 
 def matrix_rank(m: Sequence[Sequence[int]], p: int, dim: int) -> int:

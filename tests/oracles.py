@@ -279,3 +279,46 @@ def two_pass_orbit_closure(seeds, gamma_count: int, act, key):
         frontier = new
     action = [[index[key(act(g, f))] for f in family] for g in range(gamma_count)]
     return family, action
+
+
+# -- subspaces of F_p^n --------------------------------------------------------
+#
+# The list-of-residues Gauss-Jordan route for every p, with the meet by
+# the Zassenhaus block and codimension through the meet.  Subspaces are
+# plain tuples of RREF rows here.
+
+def list_rref(rows: List[List[int]], p: int, width: int) -> List[List[int]]:
+    """Gauss-Jordan over F_p on a copy; nonzero rows sorted by pivot."""
+    rows = [[x % p for x in r] for r in rows]
+    pivot_row = 0
+    for col in range(width):
+        pivot = next((r for r in range(pivot_row, len(rows)) if rows[r][col]), None)
+        if pivot is None:
+            continue
+        rows[pivot_row], rows[pivot] = rows[pivot], rows[pivot_row]
+        inv = pow(rows[pivot_row][col], p - 2, p)
+        rows[pivot_row] = [(v * inv) % p for v in rows[pivot_row]]
+        for r in range(len(rows)):
+            if r != pivot_row and rows[r][col]:
+                c = rows[r][col]
+                rows[r] = [(a - c * b) % p for a, b in zip(rows[r], rows[pivot_row])]
+        pivot_row += 1
+    return rows[:pivot_row]
+
+
+def span_rows(p: int, dim: int, vectors) -> tuple:
+    return tuple(tuple(r) for r in list_rref([list(v) for v in vectors], p, dim))
+
+
+def zassenhaus_meet(p: int, dim: int, s_rows, t_rows) -> tuple:
+    block = [list(r) + list(r) for r in s_rows] + [list(r) + [0] * dim for r in t_rows]
+    reduced = list_rref(block, p, 2 * dim)
+    return span_rows(p, dim, [row[dim:] for row in reduced if not any(row[:dim])])
+
+
+def rows_sum(p: int, dim: int, s_rows, t_rows) -> tuple:
+    return span_rows(p, dim, list(s_rows) + list(t_rows))
+
+
+def rows_codim(p: int, dim: int, s_rows, t_rows) -> int:
+    return len(s_rows) - len(zassenhaus_meet(p, dim, s_rows, t_rows))

@@ -64,6 +64,16 @@ def test_check_clean_exit_zero(capsys):
     assert out["violations"] == []
 
 
+def test_check_counts_distinct_samples(tmp_path, capsys):
+    # One member on a one-point carrier: every sampled meet is {0}, and
+    # the sampled pairs are ({}, {0}) and ({0}, {0}).
+    path = write(tmp_path, "one.json", {
+        "kind": "set", "set": {"carrier_size": 1, "seeds": [[0]]}})
+    assert run(["check", "-i", path]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert (out["checked_elements"], out["checked_pairs"]) == (1, 2)
+
+
 def test_check_broken_abstract_exit_two(capsys):
     assert run(["check", "-i", str(INSTANCES / "broken_abstract.json")]) == 2
     out = json.loads(capsys.readouterr().out)
@@ -183,7 +193,7 @@ def test_two_kind_blocks_rejected(tmp_path):
     assert run(["solve", "-i", path]) == 4
 
 
-def test_orbit_cap_exit_three(tmp_path):
+def test_orbit_cap_exit_three(tmp_path, capsys):
     path = write(tmp_path, "cap.json", {
         "kind": "set",
         "set": {"carrier_size": 6, "seeds": [[0]],
@@ -191,6 +201,9 @@ def test_orbit_cap_exit_three(tmp_path):
         "options": {"max_orbit": 2},
     })
     assert run(["solve", "-i", path]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "cap exceeded: orbit closure reached 3 members, past max_orbit 2\n"
 
 
 def test_bad_permutation_exit_four(tmp_path):
@@ -250,7 +263,7 @@ def test_mode_flag_overrides_file_option(capsys):
     assert out["mode_agreement"] is None
 
 
-def test_strong_search_cap_exit_three(tmp_path):
+def test_strong_search_cap_exit_three(tmp_path, capsys):
     path = write(tmp_path, "strongcap.json", {
         "kind": "set",
         "set": {"carrier_size": 4, "seeds": [[0]],
@@ -258,6 +271,9 @@ def test_strong_search_cap_exit_three(tmp_path):
         "options": {"mode": "proof", "strong_subset_cap": 2},
     })
     assert run(["solve", "-i", path]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "cap exceeded: 15 subset meets exceed strong_subset_cap 2\n"
 
 
 def test_solve_metric_kind_rejected(capsys):
