@@ -23,16 +23,16 @@ _EXPORTS = {
                   "structure_from_group", "structure_from_sets",
                   "structure_from_subspaces"),
     "engine": ("Certificate", "EngineOptions", "Instance", "ValidationReport",
-               "argmax_set", "compute_m", "find_strong", "greatest_n", "n_of",
-               "orbit_closure", "solve", "strong_elements",
-               "validate_conditions", "verify_certificate"),
+               "compute_m", "evaluate", "greatest_n", "n_of", "orbit_closure",
+               "solve", "strong_elements", "validate_conditions",
+               "verify_certificate"),
     "errors": ("AssociativityViolation", "CapExceeded", "CloseKnitError",
                "ConditionViolation", "ContractViolation", "ElementCapExceeded",
                "EnumerationCapExceeded", "EquivarianceViolation",
                "IncrementViolation", "InputFormatError", "InvalidAction",
                "MonotonicityViolation", "OrbitCapExceeded",
                "StrongSearchExhausted", "StructureMismatch"),
-    "galois": ("GaloisInstance", "solve_galois"),
+    "galois": ("solve_galois",),
     "groups": ("GroupInstance", "PermGroup", "Subgroup", "closure",
                "conjugate_action", "increment_group", "index_of",
                "measure_group", "product_set", "subgroup_from_perms"),

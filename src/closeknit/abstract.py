@@ -182,9 +182,6 @@ class AbstractInstance(Instance):
     def meet(self, x: int, y: int) -> int:
         return self.lattice.meet_table[x][y]
 
-    def equals(self, x: int, y: int) -> bool:
-        return x == y
-
     def key(self, x: int):
         return x
 
@@ -193,9 +190,6 @@ class AbstractInstance(Instance):
 
     def increment(self, x: int, a: int) -> int:
         return self._inc_col[self.family[a]][x]
-
-    def gamma_size(self) -> int:
-        return len(self.lattice.gamma)
 
     def act(self, g: int, x: int) -> int:
         return self.lattice.gamma[g][x]
@@ -414,6 +408,6 @@ def tabulate_instance(inst: Instance, elements: Sequence) -> AbstractInstance:
     increment = [[pos(inst.increment(x, a)) for a in range(len(inst.family))]
                  for x in elements]
     gamma = [tuple(pos(inst.act(g, x)) for x in elements)
-             for g in range(inst.gamma_size())]
+             for g in range(len(inst.action_table))]
     lat = AbstractLattice(size, meet, family, delta, increment, gamma)
     return load_abstract(lat)

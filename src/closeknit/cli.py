@@ -46,10 +46,6 @@ def _emit(text: str, out_path: Optional[str]) -> None:
 def _solvable(loaded: LoadedFile):
     if loaded.instance is not None:
         return loaded.instance
-    if loaded.galois is not None:
-        from .groups import GroupInstance
-        return GroupInstance(loaded.galois.group, loaded.galois.subgroup_seeds,
-                             loaded.galois.gamma, loaded.options)
     raise InputFormatError(f"kind {loaded.kind!r} has nothing to solve")
 
 
@@ -62,11 +58,10 @@ def cmd_solve(args) -> int:
     loaded = load_file(args.input)
     mode = args.mode or loaded.mode
     inst = _solvable(loaded)
-    if loaded.galois is not None:
+    if loaded.kind == "galois":
         from .galois import solve_galois
-        cert, descriptor = solve_galois(loaded.galois, mode=mode,
-                                        options=loaded.options,
-                                        with_trace=args.trace, inst=inst)
+        cert, descriptor = solve_galois(inst, mode=mode, options=loaded.options,
+                                        with_trace=args.trace)
     else:
         descriptor = None
         cert = solve(inst, mode=mode, options=loaded.options,

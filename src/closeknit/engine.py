@@ -1,20 +1,26 @@
 """Generic fixed-point engine over a symmetry-closed family in a meet-semilattice.
 
-An instance supplies opaque lattice elements with meet/leq/equals, an
-indexed family f_a closed under the symmetry generators, a distance
-delta(s, a) into the index poset, and an increment map (s, a) -> s^a
-that grows s a little toward f_a.  The engine computes, for each element
+An instance supplies five operations on opaque lattice elements: meet,
+a canonical key, a distance delta(s, a) into the index poset, an
+increment map (s, a) -> s^a that grows s a little toward f_a, and the
+action of each symmetry generator.  Elements compare with `==`; the
+family, and the action table whose length is the number of generators,
+are closed under the symmetries.  The engine computes, for each element
 s, the down-set m(s) of realized distances; calls s strong when m(s) is
 minimal; forms n(s) as the meet of the increments over the indices where
 delta(s, a) is maximal; and returns the greatest n(s), which is fixed by
-every symmetry generator because it is unique.
+every symmetry generator because it is unique.  One delta vector per
+element gives both m(s) and those argmax indices (`evaluate`).
 
 Two routes are implemented.  The full-meet route evaluates n at the meet
 of the whole family, which at finite scale is always strong and always
 realizes the greatest n.  The proof route starts from an arbitrary strong
 element (the first found among subset meets) and repeatedly descends by
 meeting with strong elements whose n is not yet dominated.
-`solve(mode="both")` cross-checks the two.
+`solve(mode="both")` cross-checks the two.  On sets, subgroups and
+subspaces the strong pool is the family meet alone, so both routes
+compute n of the meet there; the cross-check has teeth only on tabular
+lattices.
 """
 
 from __future__ import annotations
@@ -45,10 +51,13 @@ class EngineOptions:
 class Instance(ABC):
     """Capabilities a solvable problem must provide.
 
-    `family` and `action_table` must already be closed: applying any
-    symmetry generator to a family member lands back in the family at
-    the index the table records.  Constructors of the concrete
-    subclasses obtain this via `orbit_closure`.
+    Five abstract operations: `meet`, `key`, `delta`, `increment` and
+    `act`.  Elements compare with `==`, and `len(action_table)` is the
+    number of symmetry generators.  `family` and `action_table` must
+    already be closed: applying any symmetry generator to a family
+    member lands back in the family at the index the table records.
+    Constructors of the concrete subclasses obtain this via
+    `orbit_closure`.
     """
 
     kind: str = "abstract"
@@ -57,9 +66,6 @@ class Instance(ABC):
 
     @abstractmethod
     def meet(self, x, y): ...
-
-    @abstractmethod
-    def equals(self, x, y) -> bool: ...
 
     @abstractmethod
     def key(self, x) -> Hashable:
@@ -72,13 +78,10 @@ class Instance(ABC):
     def increment(self, x, a: int): ...
 
     @abstractmethod
-    def gamma_size(self) -> int: ...
-
-    @abstractmethod
     def act(self, g: int, x): ...
 
     def leq(self, x, y) -> bool:
-        return self.equals(self.meet(x, y), x)
+        return self.meet(x, y) == x
 
     def join_span(self):
         """Upper sandwich element (union/generated/sum), or None if undefined."""
@@ -96,10 +99,31 @@ class Instance(ABC):
         return self.key(x)
 
     def validation_samples(self, rng: random.Random, samples: int):
-        """(elements, comparable pairs) used by validate_conditions."""
-        elements = list(self.family)
-        pairs = [(self.meet(s, t), s) for s in elements for t in elements]
-        return elements, pairs[:samples]
+        """(elements, comparable pairs) used by validate_conditions.
+
+        Random family-subset meets paired with random sub-elements; the
+        kind's `random_subelement` produces a lattice element below the
+        given one.
+        """
+        n = len(self.family)
+        elements: List[Any] = list(self.family)
+        pairs: List[Tuple[Any, Any]] = []
+        for _ in range(samples):
+            mask = rng.randrange(1, 1 << n)
+            s = None
+            for i in range(n):
+                if (mask >> i) & 1:
+                    s = self.family[i] if s is None else self.meet(s, self.family[i])
+            elements.append(s)
+            if rng.random() < 0.5:
+                t = self.random_subelement(rng, s)
+            else:
+                t = self.meet(s, self.family[rng.randrange(n)])
+            pairs.append((t, s))
+            # Sub-elements of family members exercise monotonicity away from meets.
+            f = self.family[rng.randrange(n)]
+            pairs.append((self.random_subelement(rng, f), f))
+        return elements, pairs
 
 
 def orbit_closure(seeds: Sequence[Any], gamma_count: int,
@@ -163,26 +187,22 @@ def meet_of_family(inst: Instance):
     return out
 
 
-def find_strong(inst: Instance):
-    """An element realizing the minimal distance down-set: the meet of the
-    entire family, which is minimal by monotonicity."""
-    return meet_of_family(inst)
-
-
-def argmax_set(inst: Instance, s) -> List[int]:
-    """Family indices whose distance from s is maximal in m(s); s must be strong."""
+def evaluate(inst: Instance, s) -> Tuple[DownSet, List[int]]:
+    """m(s) and the family indices whose distance from s is maximal in it,
+    both from one delta vector; the indices are what n(s) needs when s
+    is strong."""
     values = [inst.delta(s, a) for a in range(len(inst.family))]
     m = downset_of(values)
-    out = maximal_in(m, values)
-    if not out:
+    argmax = maximal_in(m, values)
+    if not argmax:
         raise CloseKnitError("empty argmax set; down-set invariant broken")
-    return out
+    return m, argmax
 
 
-def n_of(inst: Instance, s):
+def n_of(inst: Instance, s, argmax: Sequence[int]):
     """Meet of the increments of s over its argmax indices; s must be strong."""
     out = None
-    for a in argmax_set(inst, s):
+    for a in argmax:
         inc = inst.increment(s, a)
         out = inc if out is None else inst.meet(out, inc)
     return out
@@ -220,46 +240,50 @@ def strong_elements(inst: Instance, subset_cap: int = DEFAULT_SUBSET_CAP) -> Lis
 def greatest_n(inst: Instance, mode: str = "full",
                subset_cap: int = DEFAULT_SUBSET_CAP,
                trace: Optional[List[dict]] = None):
-    """The greatest n(s) over strong s, with the strong element that realized it.
+    """The greatest n(s) over strong s, as (n, s, m(s), argmax of s).
 
-    mode "full" evaluates at the full family meet.  mode "proof" runs the
-    descent loop: while some strong t has n(t) not below n(s), replace s
-    by s meet t; n strictly increases, so the loop ends.
+    mode "full" evaluates at the full family meet, which is strong by
+    monotonicity.  mode "proof" runs the descent loop: while some strong
+    t has n(t) not below n(s), replace s by s meet t; n strictly
+    increases, so the loop ends.
     """
     if mode == "full":
-        s = find_strong(inst)
-        return n_of(inst, s), s
+        s = meet_of_family(inst)
+        m, argmax = evaluate(inst, s)
+        return n_of(inst, s, argmax), s, m, argmax
     if mode != "proof":
         raise ContractViolation(f"unknown mode {mode!r}")
     pool = strong_elements(inst, subset_cap)
     if trace is not None:
         trace.append({"event": "strong_pool", "count": len(pool)})
-    n_cache: Dict[Hashable, Any] = {}
+    # (n, m, argmax) per key: each strong element is evaluated once.
+    cache: Dict[Hashable, Tuple[Any, DownSet, List[int]]] = {}
 
-    def n_cached(t):
+    def evaluated(t):
         k = inst.key(t)
-        if k not in n_cache:
-            n_cache[k] = n_of(inst, t)
-        return n_cache[k]
+        if k not in cache:
+            m, argmax = evaluate(inst, t)
+            cache[k] = (n_of(inst, t, argmax), m, argmax)
+        return cache[k]
 
     # Any strong element may start the descent; the first enumerated one
     # keeps the loop honest instead of starting at the full meet.
     s = pool[0]
-    ns = n_of(inst, s)
+    ns, m, argmax = evaluated(s)
     if trace is not None:
         trace.append({"event": "start", "element": inst.element_json(s),
                       "n": inst.element_json(ns)})
     for _ in range(100_000):
         t_next = None
         for t in pool:
-            if not inst.leq(n_cached(t), ns):
+            if not inst.leq(evaluated(t)[0], ns):
                 t_next = t
                 break
         if t_next is None:
-            return ns, s
+            return ns, s, m, argmax
         s = inst.meet(s, t_next)
-        new_ns = n_of(inst, s)
-        if inst.leq(new_ns, ns) and not inst.equals(new_ns, ns):
+        new_ns, m, argmax = evaluated(s)
+        if inst.leq(new_ns, ns) and new_ns != ns:
             raise CloseKnitError("descent decreased n; increment data inconsistent")
         ns = new_ns
         if trace is not None:
@@ -320,22 +344,16 @@ def solve(inst: Instance, mode: str = "full",
     if trace is not None:
         trace.append({"event": "orbit_closed", "size": len(inst.family)})
 
-    n_full = s_full = n_proof = s_proof = None
+    full = proof = None
     if mode in ("full", "both"):
-        n_full, s_full = greatest_n(inst, "full", opts.strong_subset_cap, trace)
+        full = greatest_n(inst, "full", opts.strong_subset_cap, trace)
     if mode in ("proof", "both"):
-        n_proof, s_proof = greatest_n(inst, "proof", opts.strong_subset_cap, trace)
+        proof = greatest_n(inst, "proof", opts.strong_subset_cap, trace)
+    result, strong, m, argmax = full or proof
+    agreement = result == proof[0] if mode == "both" else None
 
-    if mode == "proof":
-        result, strong, agreement = n_proof, s_proof, None
-    elif mode == "both":
-        agreement = inst.equals(n_full, n_proof)
-        result, strong = n_full, s_full
-    else:
-        result, strong, agreement = n_full, s_full, None
-
-    fixed = all(inst.equals(inst.act(g, result), result)
-                for g in range(inst.gamma_size()))
+    fixed = all(inst.act(g, result) == result
+                for g in range(len(inst.action_table)))
     measures, bound = _measures_of(inst, result)
     if trace is not None:
         trace.append({"event": "result", "element": inst.element_json(result)})
@@ -346,8 +364,8 @@ def solve(inst: Instance, mode: str = "full",
         measures=measures,
         orbit_size=len(inst.family),
         strong_element=strong,
-        argmax_indices=argmax_set(inst, strong),
-        m_generators=compute_m(inst, strong),
+        argmax_indices=argmax,
+        m_generators=m,
         bound=bound,
         mode_agreement=agreement,
         trace=trace,
@@ -416,7 +434,7 @@ def validate_conditions(inst: Instance, samples: int = 1000,
                 continue
             if dt == ds:
                 it, i_s = inst.increment(t, a), inst.increment(s, a)
-                if not inst.equals(it, i_s):
+                if it != i_s:
                     report.violations.append({
                         "condition": "increment-collapse",
                         "lower": inst.element_json(t), "upper": inst.element_json(s),
@@ -427,52 +445,36 @@ def validate_conditions(inst: Instance, samples: int = 1000,
     return report
 
 
-def meet_and_sub_samples(inst: Instance, rng: random.Random, samples: int):
-    """Random family-subset meets paired with random sub-elements.
-
-    Shared by the concrete instantiations, whose `random_subelement`
-    produces a lattice element below the given one.
-    """
-    n = len(inst.family)
-    elements: List[Any] = list(inst.family)
-    pairs: List[Tuple[Any, Any]] = []
-    for _ in range(samples):
-        mask = rng.randrange(1, 1 << n)
-        s = None
-        for i in range(n):
-            if (mask >> i) & 1:
-                s = inst.family[i] if s is None else inst.meet(s, inst.family[i])
-        elements.append(s)
-        if rng.random() < 0.5:
-            t = inst.random_subelement(rng, s)
-        else:
-            extra = inst.family[rng.randrange(n)]
-            t = inst.meet(s, extra)
-        pairs.append((t, s))
-        # Sub-elements of family members exercise monotonicity away from meets.
-        f = inst.family[rng.randrange(n)]
-        pairs.append((inst.random_subelement(rng, f), f))
-    return elements, pairs
-
-
 def verify_certificate(inst: Instance, cert: Certificate) -> bool:
-    """Recompute invariance, measures, and the sandwich bound for a certificate.
+    """Recompute invariance, measures, the sandwich bound, and that the
+    certificate's element is n of its strong element.
 
-    A certificate whose two routes disagreed (`mode_agreement` False)
+    The strong element must have the family meet's distance down-set
+    (the least one), and its recomputed down-set, argmax indices and n
+    must equal the certificate's.  The recomputation uses the same
+    kernels as the solve, so it cannot catch a kernel bug.  A
+    certificate whose two routes disagreed (`mode_agreement` False)
     certifies nothing and is rejected.
     """
     if cert.mode_agreement is False:
         return False
     n = cert.invariant_element
-    fixed = all(inst.equals(inst.act(g, n), n) for g in range(inst.gamma_size()))
+    fixed = all(inst.act(g, n) == n for g in range(len(inst.action_table)))
     if not (fixed and cert.gamma_fixed):
         return False
     measures, bound = _measures_of(inst, n)
     if measures != cert.measures or bound != cert.bound:
         return False
-    if not inst.leq(meet_of_family(inst), n):
+    meet = meet_of_family(inst)
+    if not inst.leq(meet, n):
         return False
     span = inst.join_span()
     if span is not None and not inst.leq(n, span):
         return False
-    return True
+    strong = cert.strong_element
+    m, argmax = evaluate(inst, strong)
+    if m != cert.m_generators or argmax != cert.argmax_indices:
+        return False
+    if strong != meet and compute_m(inst, meet) != m:
+        return False
+    return n_of(inst, strong, argmax) == n

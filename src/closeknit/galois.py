@@ -1,26 +1,19 @@
 """Galois-side core step: invariant subgroup plus a fixed-field descriptor.
 
-Inputs live on the group side: a finite automorphism-group surrogate, a
-family of subgroups standing for the stabilizers of the field family,
-and normalizing permutations for the outer symmetry.  The engine finds
-the invariant subgroup H; the descriptor states the fixed field of H
+Inputs live on the group side: a `GroupInstance` whose ambient group is
+a finite automorphism-group surrogate, whose family stands for the
+stabilizers of the field family, and whose symmetry generators are
+normalizing permutations for the outer symmetry.  The engine finds the
+invariant subgroup H; the descriptor states the fixed field of H
 symbolically through index data, with no field arithmetic.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 from .engine import Certificate, EngineOptions, solve
-from .groups import GroupInstance, PermGroup, Subgroup, index_of
-
-
-class GaloisInstance:
-    def __init__(self, group: PermGroup, subgroup_seeds: List[Subgroup],
-                 gamma: List[Tuple[int, ...]]):
-        self.group = group
-        self.subgroup_seeds = subgroup_seeds
-        self.gamma = gamma
+from .groups import GroupInstance, Subgroup, index_of
 
 
 def family_commensurability(inst: GroupInstance) -> int:
@@ -34,22 +27,14 @@ def family_commensurability(inst: GroupInstance) -> int:
     return worst
 
 
-def solve_galois(ginst: GaloisInstance, mode: str = "full",
+def solve_galois(inst: GroupInstance, mode: str = "full",
                  options: Optional[EngineOptions] = None,
-                 with_trace: bool = False,
-                 inst: Optional[GroupInstance] = None) -> Tuple[Certificate, dict]:
-    """Run the group engine on the stabilizer family and describe Fix(H).
-
-    A caller that already built the GroupInstance of ginst passes it as
-    inst, so the normaliser checks and the orbit closure run once.
-    """
-    if inst is None:
-        inst = GroupInstance(ginst.group, ginst.subgroup_seeds, ginst.gamma,
-                             options)
+                 with_trace: bool = False) -> Tuple[Certificate, dict]:
+    """Run the group engine on the stabilizer family and describe Fix(H)."""
     uniform_bound = family_commensurability(inst)
     cert = solve(inst, mode=mode, options=options, with_trace=with_trace)
     h: Subgroup = cert.invariant_element
-    whole = Subgroup(ginst.group, frozenset(range(len(ginst.group))))
+    whole = Subgroup(inst.ambient, frozenset(range(len(inst.ambient))))
     per_family = []
     for a, f in enumerate(inst.family):
         per_family.append({
@@ -59,7 +44,7 @@ def solve_galois(ginst: GaloisInstance, mode: str = "full",
             "index_in_h": index_of(h, f),
         })
     descriptor = {
-        "ambient_order": len(ginst.group),
+        "ambient_order": len(inst.ambient),
         "h_order": len(h),
         "index_of_h": index_of(whole, h),
         "per_family": per_family,

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import Dict, FrozenSet, Iterable, List, Sequence, Tuple
 
-from .engine import EngineOptions, Instance, meet_and_sub_samples, orbit_closure
+from .engine import EngineOptions, Instance, orbit_closure
 from .errors import ElementCapExceeded, InvalidAction, StructureMismatch, CloseKnitError
 from .indexposet import IndexValue
 
@@ -65,7 +65,8 @@ class PermGroup:
                     if prod not in index:
                         if len(elements) >= element_cap:
                             raise ElementCapExceeded(
-                                f"group closure exceeded cap {element_cap}")
+                                f"group closure reached {len(elements) + 1} "
+                                f"elements, past max_elements {element_cap}")
                         index[prod] = len(elements)
                         elements.append(prod)
                         new.append(prod)
@@ -314,9 +315,6 @@ class GroupInstance(Instance):
     def meet(self, x: Subgroup, y: Subgroup) -> Subgroup:
         return x.intersect(y)
 
-    def equals(self, x: Subgroup, y: Subgroup) -> bool:
-        return x.members == y.members
-
     def key(self, x: Subgroup):
         return x.members
 
@@ -325,9 +323,6 @@ class GroupInstance(Instance):
 
     def increment(self, x: Subgroup, a: int) -> Subgroup:
         return increment_group(x, self.family[a])
-
-    def gamma_size(self) -> int:
-        return len(self.gamma)
 
     def act(self, g: int, x: Subgroup) -> Subgroup:
         return conjugate_action(self.gamma[g], x)
@@ -348,6 +343,3 @@ class GroupInstance(Instance):
         members = sorted(s.members)
         picks = [m for m in members if rng.random() < 0.4]
         return closure(picks, self.ambient)
-
-    def validation_samples(self, rng, samples: int):
-        return meet_and_sub_samples(self, rng, samples)

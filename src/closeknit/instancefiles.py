@@ -21,7 +21,6 @@ from .indexposet import IndexValue
 
 if TYPE_CHECKING:
     from .contlogic import MetricStructure
-    from .galois import GaloisInstance
 
 KIND_BLOCKS = ("set", "group", "vector", "abstract", "galois", "metric")
 
@@ -48,6 +47,12 @@ def _as_number(value: Any, field: str) -> Union[int, Fraction]:
         return Fraction(value[0], value[1])
     raise InputFormatError(
         f"{field}: expected integer or [num,den] pair, got {value!r}")
+
+
+def _number_table(value: Any, field: str) -> List[List[Union[int, Fraction]]]:
+    _require(isinstance(value, list) and all(isinstance(r, list) for r in value),
+             f"{field}: expected a table of rows")
+    return [[_as_number(v, field) for v in row] for row in value]
 
 
 def _int_list(value: Any, field: str) -> List[int]:
@@ -83,13 +88,11 @@ class LoadedFile:
     """Parsed instance file: the kind block turned into live objects."""
 
     def __init__(self, kind: str, instance: Optional[Instance] = None,
-                 galois: Optional[GaloisInstance] = None,
                  metric: Optional[MetricStructure] = None,
                  metric_subsets: Optional[List[List[int]]] = None,
                  options: Optional[EngineOptions] = None, mode: str = "full"):
         self.kind = kind
         self.instance = instance
-        self.galois = galois
         self.metric = metric
         self.metric_subsets = metric_subsets
         self.options = options
@@ -172,18 +175,25 @@ def _load_set(block: dict, options: EngineOptions, mode: str) -> LoadedFile:
     return LoadedFile("set", instance=inst, options=options, mode=mode)
 
 
-def _load_group(block: dict, options: EngineOptions, mode: str) -> LoadedFile:
+def _group_instance(block: dict, options: EngineOptions, kind: str,
+                    seeds_field: str) -> Instance:
+    """The GroupInstance of a group or galois block; seeds_field names its
+    seed subgroup list."""
     from .groups import GroupInstance, PermGroup, subgroup_from_perms
 
-    degree = _as_size(block.get("degree"), "group.degree")
-    gens = _int_matrix(block.get("generators"), "group.generators")
+    degree = _as_size(block.get("degree"), f"{kind}.degree")
+    gens = _int_matrix(block.get("generators"), f"{kind}.generators")
     ambient = PermGroup(degree, gens, element_cap=options.max_elements)
-    seeds_raw = block.get("seeds")
-    _require(isinstance(seeds_raw, list) and seeds_raw, "group.seeds: non-empty list")
-    seeds = [subgroup_from_perms(ambient, _int_matrix(s, "group.seeds"))
-             for s in seeds_raw]
-    gamma = _int_matrix(block.get("gamma", []), "group.gamma")
-    inst = GroupInstance(ambient, seeds, gamma, options)
+    field = f"{kind}.{seeds_field}"
+    seeds_raw = block.get(seeds_field)
+    _require(isinstance(seeds_raw, list) and seeds_raw, f"{field}: non-empty list")
+    seeds = [subgroup_from_perms(ambient, _int_matrix(s, field)) for s in seeds_raw]
+    gamma = _int_matrix(block.get("gamma", []), f"{kind}.gamma")
+    return GroupInstance(ambient, seeds, gamma, options)
+
+
+def _load_group(block: dict, options: EngineOptions, mode: str) -> LoadedFile:
+    inst = _group_instance(block, options, "group", "seeds")
     return LoadedFile("group", instance=inst, options=options, mode=mode)
 
 
@@ -225,37 +235,21 @@ def _load_abstract(block: dict, options: EngineOptions, mode: str) -> LoadedFile
 
 
 def _load_galois(block: dict, options: EngineOptions, mode: str) -> LoadedFile:
-    from .galois import GaloisInstance
-    from .groups import PermGroup, subgroup_from_perms
-
-    degree = _as_size(block.get("degree"), "galois.degree")
-    gens = _int_matrix(block.get("generators"), "galois.generators")
-    ambient = PermGroup(degree, gens, element_cap=options.max_elements)
-    seeds_raw = block.get("subgroup_seeds")
-    _require(isinstance(seeds_raw, list) and seeds_raw,
-             "galois.subgroup_seeds: non-empty list")
-    seeds = [subgroup_from_perms(ambient, _int_matrix(s, "galois.subgroup_seeds"))
-             for s in seeds_raw]
-    gamma = [tuple(g) for g in _int_matrix(block.get("gamma", []), "galois.gamma")]
-    ginst = GaloisInstance(ambient, seeds, gamma)
-    return LoadedFile("galois", galois=ginst, options=options, mode=mode)
+    inst = _group_instance(block, options, "galois", "subgroup_seeds")
+    return LoadedFile("galois", instance=inst, options=options, mode=mode)
 
 
 def _load_metric(block: dict, options: EngineOptions, mode: str) -> LoadedFile:
     from .contlogic import MetricStructure
 
     k = _as_int(block.get("points"), "metric.points")
-    dist_raw = block.get("distance")
-    _require(isinstance(dist_raw, list), "metric.distance: expected a table")
-    distance = [[_as_number(v, "metric.distance") for v in row] for row in dist_raw]
+    distance = _number_table(block.get("distance"), "metric.distance")
     formulas_raw = block.get("formulas")
     _require(isinstance(formulas_raw, dict) and formulas_raw,
              "metric.formulas: non-empty object")
     formulas = {}
     for name, table in formulas_raw.items():
-        _require(isinstance(table, list), f"metric.formulas.{name}: expected a table")
-        formulas[name] = [[_as_number(v, f"metric.formulas.{name}") for v in row]
-                          for row in table]
+        formulas[name] = _number_table(table, f"metric.formulas.{name}")
     mult = None
     if "group" in block:
         _require(isinstance(block["group"], dict), "metric.group: expected an object")
@@ -269,7 +263,7 @@ def _load_metric(block: dict, options: EngineOptions, mode: str) -> LoadedFile:
         coords = _int_matrix(vb.get("coords"), "metric.vector.coords")
     subsets = None
     if "subsets" in block:
-        subsets = [_int_list(s, "metric.subsets") for s in block["subsets"]]
+        subsets = _int_matrix(block["subsets"], "metric.subsets")
         for s in subsets:
             _require(all(0 <= x < k for x in s), "metric.subsets: point out of range")
     ms = MetricStructure(k, distance, formulas, mult_table=mult, p=p, coords=coords)

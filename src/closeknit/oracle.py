@@ -133,8 +133,8 @@ def feasible_set(inst: Instance, bound: Optional[int],
     """
     out = []
     for cand in (candidates if candidates is not None else _candidates(inst)):
-        if not all(inst.equals(inst.act(g, cand), cand)
-                   for g in range(inst.gamma_size())):
+        if not all(inst.act(g, cand) == cand
+                   for g in range(len(inst.action_table))):
             continue
         if bound is not None:
             ok = True

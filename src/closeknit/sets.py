@@ -15,7 +15,7 @@ from itertools import compress
 from operator import itemgetter
 from typing import Callable, Iterable, List, Sequence, Tuple
 
-from .engine import EngineOptions, Instance, meet_and_sub_samples as _meet_and_sub_samples, orbit_closure
+from .engine import EngineOptions, Instance, orbit_closure
 from .errors import StructureMismatch
 from .indexposet import FrozenValue, IndexValue
 
@@ -162,9 +162,6 @@ class SetInstance(Instance):
     def meet(self, x: FiniteSubset, y: FiniteSubset) -> FiniteSubset:
         return x.intersect(y)
 
-    def equals(self, x: FiniteSubset, y: FiniteSubset) -> bool:
-        return x == y
-
     def key(self, x: FiniteSubset):
         return x.bits
 
@@ -173,9 +170,6 @@ class SetInstance(Instance):
 
     def increment(self, x: FiniteSubset, a: int) -> FiniteSubset:
         return x.union(self.family[a])
-
-    def gamma_size(self) -> int:
-        return len(self.gamma)
 
     def act(self, g: int, x: FiniteSubset) -> FiniteSubset:
         return FiniteSubset(self.carrier_size, self._images[g](x.bits))
@@ -195,6 +189,3 @@ class SetInstance(Instance):
     def random_subelement(self, rng, s: FiniteSubset) -> FiniteSubset:
         bits = s.bits & rng.getrandbits(self.carrier_size) if self.carrier_size else 0
         return FiniteSubset(self.carrier_size, bits)
-
-    def validation_samples(self, rng, samples: int):
-        return _meet_and_sub_samples(self, rng, samples)

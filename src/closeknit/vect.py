@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import Iterable, List, Sequence, Tuple
 
-from .engine import EngineOptions, Instance, meet_and_sub_samples, orbit_closure
+from .engine import EngineOptions, Instance, orbit_closure
 from .errors import InvalidAction, StructureMismatch
 from .indexposet import IndexValue
 
@@ -271,9 +271,6 @@ class VectorInstance(Instance):
     def meet(self, x: SubspaceBasis, y: SubspaceBasis) -> SubspaceBasis:
         return intersect(x, y)
 
-    def equals(self, x: SubspaceBasis, y: SubspaceBasis) -> bool:
-        return x.rows == y.rows
-
     def key(self, x: SubspaceBasis):
         return x.rows
 
@@ -282,9 +279,6 @@ class VectorInstance(Instance):
 
     def increment(self, x: SubspaceBasis, a: int) -> SubspaceBasis:
         return add(x, self.family[a])
-
-    def gamma_size(self) -> int:
-        return len(self.gamma)
 
     def act(self, g: int, x: SubspaceBasis) -> SubspaceBasis:
         return matrix_action(self.gamma[g], x)
@@ -304,6 +298,3 @@ class VectorInstance(Instance):
     def random_subelement(self, rng, s: SubspaceBasis) -> SubspaceBasis:
         picks = [r for r in s.rows if rng.random() < 0.5]
         return SubspaceBasis.from_vectors(self.p, self.dim, picks)
-
-    def validation_samples(self, rng, samples: int):
-        return meet_and_sub_samples(self, rng, samples)

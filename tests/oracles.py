@@ -217,11 +217,11 @@ def greedy_strong(inst):
         chosen = None
         for b in range(len(inst.family)):
             cand = inst.meet(s, inst.family[b])
-            if inst.equals(cand, s):
+            if cand == s:
                 continue
             m_c = compute_m(inst, cand)
             shrinks_m = m_c.is_subset(m_s) and not m_s.is_subset(m_c)
-            shrinks_elem = inst.leq(cand, s) and not inst.equals(cand, s)
+            shrinks_elem = inst.leq(cand, s) and cand != s
             if shrinks_m or shrinks_elem:
                 chosen = cand
                 break

@@ -295,7 +295,7 @@ def test_oracle_abstract_fixed_points(capsys):
     assert out["feasible"] == [0, 3]
 
 
-def test_element_cap_exit_three(tmp_path):
+def test_element_cap_exit_three(tmp_path, capsys):
     path = write(tmp_path, "elemcap.json", {
         "kind": "group",
         "group": {"degree": 3, "generators": [[1, 0, 2], [1, 2, 0]],
@@ -303,6 +303,8 @@ def test_element_cap_exit_three(tmp_path):
         "options": {"max_elements": 3},
     })
     assert run(["solve", "-i", path]) == 3
+    assert capsys.readouterr().err == (
+        "cap exceeded: group closure reached 4 elements, past max_elements 3\n")
 
 
 def test_eval_delta_group_block(tmp_path, capsys):
@@ -354,6 +356,28 @@ MALFORMED_CASES = [
     {"kind": "set", "set": {"carrier_size": 3, "seeds": [[0]], "gamma": []},
      "options": {"mode": "bogus"}},
 ]
+
+
+def _metric_demo(**changes):
+    data = json.loads((INSTANCES / "metric_demo.json").read_text(encoding="utf-8"))
+    data["metric"].update(changes)
+    return data
+
+
+@pytest.mark.parametrize("command", ["solve", "check", "eval-delta"])
+@pytest.mark.parametrize("payload,message", [
+    (_metric_demo(subsets=5), "metric.subsets: expected a list of rows"),
+    (_metric_demo(distance=[[0, 1, 1, 1], 1, [1, 1, 0, 1], [1, 1, 1, 0]]),
+     "metric.distance: expected a table of rows"),
+    (_metric_demo(formulas={"phi": [[0], [0], -1, [1]]}),
+     "metric.formulas.phi: expected a table of rows"),
+], ids=["subsets", "distance-row", "formula-row"])
+def test_malformed_metric_shapes_exit_four(tmp_path, capsys, command, payload,
+                                           message):
+    assert run([command, "-i", write(tmp_path, "bad.json", payload)]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"input error: {message}\n"
 
 
 def test_malformed_instances_exit_four_without_traceback(tmp_path):

@@ -4,11 +4,10 @@ from pathlib import Path
 import pytest
 
 from closeknit.abstract import load_abstract, random_valid_instance
-from closeknit.engine import (DEFAULT_ORBIT_CAP, EngineOptions, argmax_set,
-                              compute_m, find_strong, greatest_n,
-                              meet_of_family, n_of, orbit_closure, solve,
-                              strong_elements, validate_conditions,
-                              verify_certificate)
+from closeknit.engine import (DEFAULT_ORBIT_CAP, EngineOptions, _measures_of,
+                              compute_m, evaluate, greatest_n, meet_of_family,
+                              n_of, orbit_closure, solve, strong_elements,
+                              validate_conditions, verify_certificate)
 from closeknit.errors import (CloseKnitError, OrbitCapExceeded,
                               StrongSearchExhausted)
 from closeknit.groups import GroupInstance, PermGroup, subgroup_from_perms
@@ -18,6 +17,8 @@ from closeknit.sets import FiniteSubset, SetInstance
 from tests.genrandom import (random_group_instance, random_set_instance,
                              random_vector_instance)
 from tests.oracles import brute_orbit, greedy_strong, two_pass_orbit_closure
+
+INSTANCES = Path(__file__).resolve().parent.parent / "instances"
 
 
 def fs(n, members):
@@ -36,7 +37,7 @@ def test_orbit_closure_worked_example():
                          lambda g, f: f.apply_permutation(g), lambda f: f.bits)
     assert {f.bits for f in oracle} == {f.bits for f in inst.family}
     # Action table is total and correct.
-    for g in range(inst.gamma_size()):
+    for g in range(len(inst.action_table)):
         for a, f in enumerate(inst.family):
             assert inst.act(g, f) == inst.family[inst.action_table[g][a]]
 
@@ -62,30 +63,31 @@ def test_compute_m_examples():
 
 def test_find_strong_modes_agree():
     inst = set6()
-    full = find_strong(inst)
+    full = meet_of_family(inst)
     greedy = greedy_strong(inst)
     assert full == greedy == fs(6, [1, 2])
 
 
 def test_find_strong_singleton_family():
     inst = SetInstance(4, [fs(4, [1, 3])], [])
-    assert find_strong(inst) == greedy_strong(inst) == fs(4, [1, 3])
+    assert meet_of_family(inst) == greedy_strong(inst) == fs(4, [1, 3])
 
 
 def test_argmax_and_n_of_worked_example():
     inst = set6()
-    s = find_strong(inst)
-    assert argmax_set(inst, s) == [0, 1]
-    assert n_of(inst, s) == fs(6, [1, 2])
+    s = meet_of_family(inst)
+    _, argmax = evaluate(inst, s)
+    assert argmax == [0, 1]
+    assert n_of(inst, s, argmax) == fs(6, [1, 2])
 
 
 def test_n_of_group_example():
     s3 = PermGroup(3, [[1, 0, 2], [1, 2, 0]])
     seed = subgroup_from_perms(s3, [[1, 0, 2]])
     inst = GroupInstance(s3, [seed], [[1, 2, 0]])
-    s = find_strong(inst)
+    s = meet_of_family(inst)
     assert len(s) == 1
-    assert len(n_of(inst, s)) == 1
+    assert len(n_of(inst, s, evaluate(inst, s)[1])) == 1
 
 
 def test_argmax_from_distance_tables():
@@ -100,7 +102,7 @@ def test_argmax_from_distance_tables():
                         [[1], [2], [2]], [[1], [2], [3]]],
         "increment_table": [[3, 3, 3]] * 4,
         "gamma": []})
-    assert argmax_set(inst, 1) == [1, 2]
+    assert evaluate(inst, 1)[1] == [1, 2]
     inst = set6()
     strong = strong_elements(inst)
     assert fs(6, [1, 2]) in strong
@@ -121,10 +123,10 @@ def test_greatest_n_two_strong_elements_distinct_n():
         "delta_table": delta, "increment_table": inc, "gamma": []})
     strong = strong_elements(inst)
     assert set(strong) == {0, 1, 2}
-    ns = {s: n_of(inst, s) for s in strong}
+    ns = {s: n_of(inst, s, evaluate(inst, s)[1]) for s in strong}
     assert ns == {0: 3, 1: 1, 2: 3}
-    n_full, _ = greatest_n(inst, "full")
-    n_proof, _ = greatest_n(inst, "proof")
+    n_full = greatest_n(inst, "full")[0]
+    n_proof = greatest_n(inst, "proof")[0]
     assert n_full == n_proof == 3
 
 
@@ -155,12 +157,13 @@ def test_greatest_n_descent_iterates_twice():
         "gamma": []})
     pool = strong_elements(inst)
     assert pool == [5, 4, 0, 2, 1]
-    assert {s: n_of(inst, s) for s in pool} == {5: 5, 4: 13, 0: 15, 2: 3, 1: 15}
+    assert ({s: n_of(inst, s, evaluate(inst, s)[1]) for s in pool}
+            == {5: 5, 4: 13, 0: 15, 2: 3, 1: 15})
     trace = []
-    n_proof, _ = greatest_n(inst, "proof", trace=trace)
+    n_proof = greatest_n(inst, "proof", trace=trace)[0]
     descents = [t for t in trace if t["event"] == "descend"]
     assert [d["n"] for d in descents] == [13, 15]
-    n_full, _ = greatest_n(inst, "full")
+    n_full = greatest_n(inst, "full")[0]
     assert n_proof == n_full == 15
 
 
@@ -192,6 +195,76 @@ def test_verify_rejects_tampering():
     assert not verify_certificate(inst, both)
 
 
+def _forged(inst, **fields):
+    """A full-route certificate with the given fields replaced; a forged
+    invariant element gets matching measures and bound."""
+    cert = solve(inst)
+    for name, value in fields.items():
+        setattr(cert, name, value)
+    if "invariant_element" in fields:
+        cert.measures, cert.bound = _measures_of(inst, cert.invariant_element)
+    return cert
+
+
+def test_verify_rejects_forged_invariant_element():
+    inst = set6()
+    forged = fs(6, [0, 1, 2, 3])
+    assert all(inst.act(g, forged) == forged for g in range(len(inst.action_table)))
+    # Fixed, sandwiched and with recomputed measures: only N = n(strong) fails.
+    assert not verify_certificate(inst, _forged(inst, invariant_element=forged))
+
+
+def test_verify_rejects_forged_argmax_indices():
+    assert not verify_certificate(set6(), _forged(set6(), argmax_indices=[0]))
+
+
+def test_verify_rejects_forged_m_generators():
+    inst = set6()
+    assert not verify_certificate(inst, _forged(inst, m_generators=compute_m(
+        inst, inst.family[0])))
+
+
+def test_verify_rejects_a_strong_element_that_is_not_strong():
+    # f_0 = {0,1,2} has distance row (0, 1), above the meet's (0, 0), and
+    # n(f_0) = {0,1,2,3} is gamma-fixed: every clause but strongness holds.
+    inst = set6()
+    s = inst.family[0]
+    m, argmax = evaluate(inst, s)
+    cert = _forged(inst, strong_element=s, m_generators=m, argmax_indices=argmax,
+                   invariant_element=n_of(inst, s, argmax))
+    assert cert.invariant_element == fs(6, [0, 1, 2, 3])
+    assert not verify_certificate(inst, cert)
+
+
+def test_verify_accepts_proof_route_strong_elements_other_than_the_meet():
+    rng = random.Random(3)
+    away_from_meet = 0
+    for _ in range(60):
+        inst = random_valid_instance(rng)
+        cert = solve(inst, mode="proof")
+        assert verify_certificate(inst, cert)
+        away_from_meet += cert.strong_element != meet_of_family(inst)
+    assert away_from_meet > 0
+
+
+@pytest.mark.parametrize("name", ["set6", "s3", "planes_f2_3", "s4_sylow"])
+def test_full_solve_evaluates_the_strong_element_once(name):
+    inst = load_file(str(INSTANCES / f"{name}.json")).instance
+    calls = {"delta": 0, "increment": 0}
+    for op in calls:
+        def counted(*args, _op=op, _real=getattr(inst, op)):
+            calls[_op] += 1
+            return _real(*args)
+        setattr(inst, op, counted)
+    cert = solve(inst, mode="full")
+    assert calls == {"delta": len(inst.family),
+                     "increment": len(cert.argmax_indices)}
+    # The recheck of n(strong) costs one more pass, since strong is the meet.
+    assert verify_certificate(inst, cert)
+    assert calls == {"delta": 2 * len(inst.family),
+                     "increment": 2 * len(cert.argmax_indices)}
+
+
 def test_solve_singleton_family_fixed():
     n = fs(5, [1, 2])
     inst = SetInstance(5, [n], [[0, 2, 1, 3, 4]])  # swap 1,2 fixes {1,2}
@@ -217,8 +290,7 @@ def test_sandwich_holds_on_examples():
 
 # -- orbit closure against the two-pass oracle -------------------------------
 
-INSTANCE_FILES = sorted(
-    (Path(__file__).resolve().parent.parent / "instances").glob("*.json"))
+INSTANCE_FILES = sorted(INSTANCES.glob("*.json"))
 
 
 @pytest.fixture
@@ -253,12 +325,9 @@ def _assert_same_closures(recorded, at_least):
 def test_orbit_closure_matches_two_pass_on_instance_files(closures):
     for path in INSTANCE_FILES:
         try:
-            loaded = load_file(str(path))
+            load_file(str(path))
         except CloseKnitError:
             continue                     # rejected on load: nothing to close
-        if loaded.galois is not None:
-            g = loaded.galois
-            GroupInstance(g.group, g.subgroup_seeds, g.gamma, loaded.options)
     _assert_same_closures(closures, at_least=5)
 
 

@@ -1,5 +1,5 @@
 from closeknit.engine import verify_certificate
-from closeknit.galois import GaloisInstance, solve_galois
+from closeknit.galois import solve_galois
 from closeknit.groups import (GroupInstance, PermGroup, conjugate_action,
                               subgroup_from_perms)
 from closeknit.oracle import all_subgroups, feasible_set
@@ -18,7 +18,7 @@ def is_normal_in_ambient(h, g):
 
 def test_trivial_gamma_returns_seed():
     seed = subgroup_from_perms(S3, [[1, 0, 2]])
-    cert, desc = solve_galois(GaloisInstance(S3, [seed], []))
+    cert, desc = solve_galois(GroupInstance(S3, [seed], []))
     assert cert.invariant_element == seed
     assert desc["per_family"] == [
         {"a": 0, "stabilizer_order": 2, "index_in_stabilizer": 1,
@@ -27,22 +27,21 @@ def test_trivial_gamma_returns_seed():
 
 def test_s3_inner_single_order2_seed():
     seed = subgroup_from_perms(S3, [[1, 0, 2]])
-    ginst = GaloisInstance(S3, [seed], inner_gamma(S3))
-    cert, desc = solve_galois(ginst)
+    inst = GroupInstance(S3, [seed], inner_gamma(S3))
+    cert, desc = solve_galois(inst)
     h = cert.invariant_element
     assert len(h) == 1
     assert is_normal_in_ambient(h, S3)
     # Confirmed against the full subgroup list: the only normal subgroup
     # commensurable within the certificate bound.
-    inst = GroupInstance(S3, [seed], inner_gamma(S3))
     assert h in feasible_set(inst, cert.bound)
 
 
 def test_s4_sylow2_instance():
     subs = all_subgroups(S4)
     sylow = next(s for s in subs if len(s) == 8)
-    ginst = GaloisInstance(S4, [sylow], inner_gamma(S4))
-    cert, desc = solve_galois(ginst)
+    inst = GroupInstance(S4, [sylow], inner_gamma(S4))
+    cert, desc = solve_galois(inst)
     h = cert.invariant_element
     klein = subgroup_from_perms(S4, [[1, 0, 3, 2], [2, 3, 0, 1]])
     assert h == klein
@@ -52,13 +51,12 @@ def test_s4_sylow2_instance():
     assert all(row["index_in_stabilizer"] == 2 for row in desc["per_family"])
     assert all(row["index_in_h"] == 1 for row in desc["per_family"])
     assert desc["family_uniform_index_bound"] == 2
-    inst = GroupInstance(S4, [sylow], inner_gamma(S4))
     assert h in feasible_set(inst, cert.bound)
     assert verify_certificate(inst, cert)
 
 
 def test_descriptor_mentions_fixed_field():
     seed = subgroup_from_perms(S3, [[1, 0, 2]])
-    _, desc = solve_galois(GaloisInstance(S3, [seed], []))
+    _, desc = solve_galois(GroupInstance(S3, [seed], []))
     assert "Fix(H)" in desc["fixed_field"]
     assert "closed" in desc

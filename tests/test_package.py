@@ -28,15 +28,15 @@ EXPORTS = [
     "CapExceeded", "Certificate", "CloseKnitError", "ConditionViolation",
     "ContractViolation", "DownSet", "ElementCapExceeded", "EngineOptions",
     "EnumerationCapExceeded", "EquivarianceViolation", "FiniteSubset",
-    "GaloisInstance", "GroupInstance", "IncrementViolation", "IndexValue",
+    "GroupInstance", "IncrementViolation", "IndexValue",
     "InputFormatError", "Instance", "InvalidAction", "MetricStructure",
     "MonotonicityViolation", "OrbitCapExceeded", "PermGroup", "SetInstance",
     "StrongSearchExhausted", "StructureMismatch", "Subgroup", "SubspaceBasis",
     "ValidationReport", "VectorInstance", "abstract", "add", "all_subgroups",
-    "all_subspaces", "argmax_set", "closure", "codim", "compute_m",
+    "all_subspaces", "closure", "codim", "compute_m",
     "conjugate_action", "contlogic", "delta_phi_n_group", "delta_phi_n_set",
     "delta_phi_n_vect", "discrete_reduction", "downset_of", "engine",
-    "errors", "feasible_set", "find_strong", "galois", "greatest_n", "groups",
+    "errors", "evaluate", "feasible_set", "galois", "greatest_n", "groups",
     "increment_group", "index_of", "indexposet", "intersect",
     "invariant_subsets", "leq", "load_abstract", "matrix_action",
     "maximal_in", "measure_group", "measure_set", "measure_vect", "n_of",
@@ -52,7 +52,7 @@ SUBMODULES = {"abstract", "contlogic", "engine", "errors", "galois", "groups",
 
 
 def test_exports_are_unchanged():
-    assert len(EXPORTS) == 85
+    assert len(EXPORTS) == 83
     assert closeknit.__all__ == EXPORTS
 
 
