@@ -16,12 +16,9 @@ that needs one kind of lattice does not load the others.
 from importlib import import_module as _import_module
 
 _EXPORTS = {
-    "abstract": ("AbstractInstance", "AbstractLattice", "load_abstract",
-                 "random_valid_instance", "tabulate_instance"),
+    "abstract": ("AbstractInstance", "AbstractLattice", "load_abstract"),
     "contlogic": ("MetricStructure", "delta_phi_n_group", "delta_phi_n_set",
-                  "delta_phi_n_vect", "discrete_reduction",
-                  "structure_from_group", "structure_from_sets",
-                  "structure_from_subspaces"),
+                  "delta_phi_n_vect", "discrete_reduction"),
     "engine": ("Certificate", "EngineOptions", "Instance", "ValidationReport",
                "compute_m", "evaluate", "greatest_n", "n_of", "orbit_closure",
                "solve", "strong_elements", "validate_conditions",
@@ -33,16 +30,15 @@ _EXPORTS = {
                "MonotonicityViolation", "OrbitCapExceeded",
                "StrongSearchExhausted", "StructureMismatch"),
     "galois": ("solve_galois",),
-    "groups": ("GroupInstance", "PermGroup", "Subgroup", "closure",
-               "conjugate_action", "increment_group", "index_of",
+    "groups": ("GroupInstance", "PermGroup", "Subgroup", "all_subgroups",
+               "closure", "conjugate_action", "increment_group", "index_of",
                "measure_group", "product_set", "subgroup_from_perms"),
     "indexposet": ("DownSet", "IndexValue", "downset_of", "leq", "maximal_in",
                    "nat", "strictly_below"),
-    "oracle": ("all_subgroups", "all_subspaces", "feasible_set",
-               "invariant_subsets"),
-    "sets": ("FiniteSubset", "SetInstance", "measure_set"),
-    "vect": ("SubspaceBasis", "VectorInstance", "add", "codim", "intersect",
-             "matrix_action", "measure_vect"),
+    "oracle": ("feasible_set",),
+    "sets": ("FiniteSubset", "SetInstance", "invariant_subsets", "measure_set"),
+    "vect": ("SubspaceBasis", "VectorInstance", "add", "all_subspaces", "codim",
+             "intersect", "matrix_action", "measure_vect"),
 }
 
 _ORIGIN = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -21,12 +21,10 @@ equals the set difference, the subgroup index, or the codimension.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import (ContractViolation, EnumerationCapExceeded,
                      StructureMismatch)
-from .indexposet import IndexValue
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -330,22 +328,6 @@ _KIND_EVALUATORS = {
 }
 
 
-def delta_tuple(ms: MetricStructure, kind: str, points: Iterable[int], a: int,
-                gamma: Optional[Sequence[int]] = None,
-                n_max: Optional[int] = None) -> IndexValue:
-    """The full index-poset point: values over every formula and n <= n_max."""
-    if kind not in _KIND_EVALUATORS:
-        raise ContractViolation(f"unknown structure kind {kind!r}")
-    fn = _KIND_EVALUATORS[kind]
-    limit = ms.n_points if n_max is None else n_max
-    pts = list(points)
-    coords = []
-    for phi in sorted(ms.formulas):
-        for n in range(limit + 1):
-            coords.append(fn(ms, pts, a, gamma, phi, n))
-    return IndexValue(tuple(coords))
-
-
 def discrete_reduction(ms: MetricStructure, kind: str, points: Iterable[int],
                        a: int, phi: Optional[str] = None,
                        gamma: Optional[Sequence[int]] = None) -> int:
@@ -375,50 +357,3 @@ def discrete_reduction(ms: MetricStructure, kind: str, points: Iterable[int],
         else:
             break
     return largest
-
-
-# ---------------------------------------------------------------------------
-# Discrete structures derived from the concrete instantiations, carrying
-# one indicator formula column per family member.
-# ---------------------------------------------------------------------------
-
-def _discrete_distance(k: int) -> List[List[int]]:
-    return [[0 if i == j else 1 for j in range(k)] for i in range(k)]
-
-
-def structure_from_sets(carrier_size: int, family) -> MetricStructure:
-    """Discrete structure on the carrier; formula is 1 off each family member."""
-    table = [[0 if (f.bits >> x) & 1 else 1 for f in family]
-             for x in range(carrier_size)]
-    return MetricStructure(carrier_size, _discrete_distance(carrier_size),
-                           {"phi": table})
-
-
-def structure_from_group(ambient, family) -> MetricStructure:
-    """Discrete structure on the group elements with the multiplication table."""
-    k = len(ambient)
-    table = [[0 if x in f.members else 1 for f in family] for x in range(k)]
-    mult = [[ambient.mult(i, j) for j in range(k)] for i in range(k)]
-    return MetricStructure(k, _discrete_distance(k), {"phi": table},
-                           mult_table=mult)
-
-
-def structure_from_subspaces(p: int, dim: int, family,
-                             cap: int = 1024) -> MetricStructure:
-    """Discrete structure on all of F_p^dim with the coordinate block."""
-    if p ** dim > cap:
-        raise EnumerationCapExceeded(f"{p}^{dim} points exceed cap {cap}")
-    vectors = [tuple(v) for v in product(range(p), repeat=dim)]
-    table = [[0 if f.contains_vector(v) else 1 for f in family] for v in vectors]
-    return MetricStructure(len(vectors), _discrete_distance(len(vectors)),
-                           {"phi": table}, p=p, coords=vectors)
-
-
-def subgroup_points(subgroup) -> List[int]:
-    return sorted(subgroup.members)
-
-
-def subspace_points(ms: MetricStructure, subspace) -> List[int]:
-    """Point indices of a subspace's vectors inside a vector structure."""
-    assert ms._point_of_coords is not None
-    return sorted(ms._point_of_coords[v] for v in subspace.vectors())

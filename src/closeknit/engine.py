@@ -91,6 +91,15 @@ class Instance(ABC):
         """Full element list when the lattice is explicitly finite, else None."""
         return None
 
+    def candidates(self) -> List[Any]:
+        """Every element the oracle filters: `all_elements()` by default.
+        A kind without an explicit element list overrides this with its
+        own capped enumeration; raises when there is neither."""
+        explicit = self.all_elements()
+        if explicit is None:
+            raise ContractViolation(f"no enumerator for kind {self.kind!r}")
+        return explicit
+
     def measure(self, x, y) -> Optional[Tuple[int, int]]:
         """Forward/backward commensurability measures, or None if undefined."""
         return None

@@ -19,12 +19,16 @@ from __future__ import annotations
 from typing import Dict, FrozenSet, Iterable, List, Sequence, Tuple
 
 from .engine import EngineOptions, Instance, orbit_closure
-from .errors import ElementCapExceeded, InvalidAction, StructureMismatch, CloseKnitError
+from .errors import (CloseKnitError, ElementCapExceeded, EnumerationCapExceeded,
+                     InvalidAction, StructureMismatch)
 from .indexposet import IndexValue
 
 Perm = Tuple[int, ...]
 
 DEFAULT_ELEMENT_CAP = 100_000
+# Largest degree an instance file may give, as sets.MAX_CARRIER for carriers.
+MAX_DEGREE = 4096
+MAX_ORACLE_GROUP = 96
 
 
 def compose(a: Sequence[int], b: Sequence[int]) -> Perm:
@@ -116,10 +120,6 @@ class Subgroup:
         if self.ambient is not other.ambient:
             raise StructureMismatch("subgroups have different ambient groups")
 
-    def contains(self, other: "Subgroup") -> bool:
-        self._check(other)
-        return other.members <= self.members
-
     def intersect(self, other: "Subgroup") -> "Subgroup":
         self._check(other)
         return Subgroup(self.ambient, self.members & other.members)
@@ -165,6 +165,29 @@ def closure(gens: Iterable[int], ambient: PermGroup) -> Subgroup:
                     members.update(coset)
             rep_pos += len(base)
     return Subgroup(ambient, frozenset(members))
+
+
+def all_subgroups(g: PermGroup, cap: int = MAX_ORACLE_GROUP) -> List[Subgroup]:
+    """Complete subgroup list by the cyclic-extension sweep: every cyclic
+    subgroup, then repeated joins with cyclic subgroups until stable."""
+    if len(g) > cap:
+        raise EnumerationCapExceeded(f"group order {len(g)} exceeds cap {cap}")
+    cyclics = {closure([i], g).members for i in range(len(g))}
+    known = {frozenset([0])} | set(cyclics)
+    frontier = list(known)
+    while frontier:
+        new = []
+        for h in frontier:
+            for c in cyclics:
+                if c <= h:
+                    continue
+                j = closure(sorted(h | c), g).members
+                if j not in known:
+                    known.add(j)
+                    new.append(j)
+        frontier = new
+    return sorted((Subgroup(g, m) for m in known),
+                  key=lambda s: (len(s.members), sorted(s.members)))
 
 
 def subgroup_from_perms(ambient: PermGroup, perms: Iterable[Sequence[int]]) -> Subgroup:
@@ -338,6 +361,9 @@ class GroupInstance(Instance):
 
     def element_json(self, x: Subgroup) -> List[List[int]]:
         return [list(p) for p in x.perms()]
+
+    def candidates(self) -> List[Subgroup]:
+        return all_subgroups(self.ambient)
 
     def random_subelement(self, rng, s: Subgroup) -> Subgroup:
         members = sorted(s.members)

@@ -84,6 +84,11 @@ def _as_size(value: Any, field: str) -> int:
     return size
 
 
+def _at_most(value: int, limit: int, field: str) -> int:
+    _require(value <= limit, f"{field}: {value} exceeds the limit {limit}")
+    return value
+
+
 class LoadedFile:
     """Parsed instance file: the kind block turned into live objects."""
 
@@ -179,9 +184,10 @@ def _group_instance(block: dict, options: EngineOptions, kind: str,
                     seeds_field: str) -> Instance:
     """The GroupInstance of a group or galois block; seeds_field names its
     seed subgroup list."""
-    from .groups import GroupInstance, PermGroup, subgroup_from_perms
+    from .groups import MAX_DEGREE, GroupInstance, PermGroup, subgroup_from_perms
 
-    degree = _as_size(block.get("degree"), f"{kind}.degree")
+    field = f"{kind}.degree"
+    degree = _at_most(_as_size(block.get("degree"), field), MAX_DEGREE, field)
     gens = _int_matrix(block.get("generators"), f"{kind}.generators")
     ambient = PermGroup(degree, gens, element_cap=options.max_elements)
     field = f"{kind}.{seeds_field}"
@@ -198,9 +204,9 @@ def _load_group(block: dict, options: EngineOptions, mode: str) -> LoadedFile:
 
 
 def _load_vector(block: dict, options: EngineOptions, mode: str) -> LoadedFile:
-    from .vect import SubspaceBasis, VectorInstance
+    from .vect import MAX_P, SubspaceBasis, VectorInstance
 
-    p = _as_int(block.get("p"), "vector.p")
+    p = _at_most(_as_int(block.get("p"), "vector.p"), MAX_P, "vector.p")
     dim = _as_size(block.get("dim"), "vector.dim")
     seeds_raw = block.get("seeds")
     _require(isinstance(seeds_raw, list) and seeds_raw, "vector.seeds: non-empty list")
@@ -219,7 +225,9 @@ def _load_abstract(block: dict, options: EngineOptions, mode: str) -> LoadedFile
     for field in ("size", "meet_table", "family", "delta_table", "increment_table"):
         _require(field in block, f"abstract.{field} is required")
     delta_rows = block["delta_table"]
-    _require(isinstance(delta_rows, list), "abstract.delta_table: expected a list")
+    _require(isinstance(delta_rows, list)
+             and all(isinstance(row, list) for row in delta_rows),
+             "abstract.delta_table: expected a table of rows")
     description = {
         "size": _as_int(block["size"], "abstract.size"),
         "meet_table": _int_matrix(block["meet_table"], "abstract.meet_table"),

@@ -16,10 +16,12 @@ from operator import itemgetter
 from typing import Callable, Iterable, List, Sequence, Tuple
 
 from .engine import EngineOptions, Instance, orbit_closure
-from .errors import StructureMismatch
+from .errors import EnumerationCapExceeded, StructureMismatch
 from .indexposet import FrozenValue, IndexValue
 
 MAX_CARRIER = 4096
+MAX_ORACLE_CARRIER = 24
+MAX_ORBIT_COUNT = 20
 
 # bin() digits '0'/'1' to the bytes 0/1 that `compress` reads as flags.
 _DIGIT_FLAGS = bytes.maketrans(b"01", b"\x00\x01")
@@ -114,10 +116,6 @@ class FiniteSubset(FrozenValue):
         self._check(other)
         return FiniteSubset(self.carrier_size, self.bits | other.bits)
 
-    def issubset(self, other: "FiniteSubset") -> bool:
-        self._check(other)
-        return self.bits & ~other.bits == 0
-
     def difference_size(self, other: "FiniteSubset") -> int:
         self._check(other)
         return (self.bits & ~other.bits).bit_count()
@@ -132,6 +130,43 @@ class FiniteSubset(FrozenValue):
 def measure_set(s: FiniteSubset, t: FiniteSubset) -> Tuple[int, int]:
     """Commensurability measure pair (|s minus t|, |t minus s|)."""
     return s.difference_size(t), t.difference_size(s)
+
+
+def invariant_subsets(carrier_size: int,
+                      gamma: Sequence[Sequence[int]]) -> List[FiniteSubset]:
+    """All invariant subsets: exactly the unions of point orbits."""
+    if carrier_size > MAX_ORACLE_CARRIER:
+        raise EnumerationCapExceeded(
+            f"carrier {carrier_size} exceeds oracle cap {MAX_ORACLE_CARRIER}")
+    parent = list(range(carrier_size))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for p in gamma:
+        for i in range(carrier_size):
+            a, b = find(i), find(p[i])
+            if a != b:
+                parent[a] = b
+    orbits = {}
+    for i in range(carrier_size):
+        orbits.setdefault(find(i), 0)
+        orbits[find(i)] |= 1 << i
+    masks = list(orbits.values())
+    if len(masks) > MAX_ORBIT_COUNT:
+        raise EnumerationCapExceeded(
+            f"{len(masks)} orbits exceed cap {MAX_ORBIT_COUNT}")
+    out = []
+    for pick in range(1 << len(masks)):
+        bits = 0
+        for i, m in enumerate(masks):
+            if (pick >> i) & 1:
+                bits |= m
+        out.append(FiniteSubset(carrier_size, bits))
+    return sorted(out, key=lambda s: s.bits)
 
 
 class SetInstance(Instance):
@@ -185,6 +220,9 @@ class SetInstance(Instance):
 
     def element_json(self, x: FiniteSubset) -> List[int]:
         return x.members()
+
+    def candidates(self) -> List[FiniteSubset]:
+        return invariant_subsets(self.carrier_size, self.gamma)
 
     def random_subelement(self, rng, s: FiniteSubset) -> FiniteSubset:
         bits = s.bits & rng.getrandbits(self.carrier_size) if self.carrier_size else 0

@@ -18,14 +18,21 @@ reduction, of width 2n.
 
 from __future__ import annotations
 
+from itertools import product
 from typing import Iterable, List, Sequence, Tuple
 
 from .engine import EngineOptions, Instance, orbit_closure
-from .errors import InvalidAction, StructureMismatch
+from .errors import EnumerationCapExceeded, InvalidAction, StructureMismatch
 from .indexposet import IndexValue
 
 Vector = Tuple[int, ...]
 Matrix = Tuple[Vector, ...]
+
+# Largest field size an instance file may give: `is_prime` trial-divides
+# up to its square root, about 46,000 steps.
+MAX_P = 2 ** 31 - 1
+MAX_SPACE_POINTS = 1024
+MAX_SUBSPACES = 100_000
 
 
 def is_prime(p: int) -> bool:
@@ -229,17 +236,52 @@ def matrix_rank(m: Sequence[Sequence[int]], p: int, dim: int) -> int:
     return len(_rref([list(r) for r in m], p, dim))
 
 
-def matrix_action(m: Sequence[Sequence[int]], s: SubspaceBasis) -> SubspaceBasis:
-    """Image subspace {Mv : v in s} for an invertible matrix M over F_p."""
-    p, dim = s.p, s.dim
+def _check_invertible(m: Sequence[Sequence[int]], p: int, dim: int) -> None:
     if len(m) != dim or any(len(r) != dim for r in m):
         raise StructureMismatch("matrix shape mismatch")
     if matrix_rank(m, p, dim) != dim:
         raise InvalidAction("matrix is singular mod p")
+
+
+def matrix_action(m: Sequence[Sequence[int]], s: SubspaceBasis) -> SubspaceBasis:
+    """Image subspace {Mv : v in s} for an invertible matrix M over F_p."""
+    _check_invertible(m, s.p, s.dim)
+    return _image(m, s)
+
+
+def _image(m: Sequence[Sequence[int]], s: SubspaceBasis) -> SubspaceBasis:
+    """{Mv : v in s} for a matrix already checked to be invertible."""
+    p, dim = s.p, s.dim
     image = []
     for v in s.rows:
         image.append([sum(m[i][j] * v[j] for j in range(dim)) % p for i in range(dim)])
     return SubspaceBasis.from_vectors(p, dim, image)
+
+
+def all_subspaces(p: int, dim: int) -> List[SubspaceBasis]:
+    """Every subspace of F_p^dim, grown by extending with outside vectors."""
+    if p ** dim > MAX_SPACE_POINTS:
+        raise EnumerationCapExceeded(
+            f"{p}^{dim} points exceed cap {MAX_SPACE_POINTS}")
+    vectors = [v for v in product(range(p), repeat=dim) if any(v)]
+    zero = SubspaceBasis.zero(p, dim)
+    known = {zero.rows: zero}
+    frontier = [zero]
+    while frontier:
+        new = []
+        for s in frontier:
+            for v in vectors:
+                if s.contains_vector(v):
+                    continue
+                bigger = add(s, SubspaceBasis.from_vectors(p, dim, [v]))
+                if bigger.rows not in known:
+                    if len(known) >= MAX_SUBSPACES:
+                        raise EnumerationCapExceeded(
+                            f"subspace count exceeds cap {MAX_SUBSPACES}")
+                    known[bigger.rows] = bigger
+                    new.append(bigger)
+        frontier = new
+    return sorted(known.values(), key=lambda s: (s.rank, s.rows))
 
 
 class VectorInstance(Instance):
@@ -256,10 +298,7 @@ class VectorInstance(Instance):
         self.options = options or EngineOptions()
         self.gamma: List[Matrix] = []
         for m in gamma:
-            if len(m) != dim or any(len(r) != dim for r in m):
-                raise StructureMismatch("matrix shape mismatch")
-            if matrix_rank(m, p, dim) != dim:
-                raise InvalidAction("matrix is singular mod p")
+            _check_invertible(m, p, dim)
             self.gamma.append(tuple(tuple(x % p for x in r) for r in m))
         for s in seeds:
             if s.p != p or s.dim != dim:
@@ -281,7 +320,7 @@ class VectorInstance(Instance):
         return add(x, self.family[a])
 
     def act(self, g: int, x: SubspaceBasis) -> SubspaceBasis:
-        return matrix_action(self.gamma[g], x)
+        return _image(self.gamma[g], x)
 
     def join_span(self) -> SubspaceBasis:
         out = self.family[0]
@@ -294,6 +333,9 @@ class VectorInstance(Instance):
 
     def element_json(self, x: SubspaceBasis) -> List[List[int]]:
         return [list(r) for r in x.rows]
+
+    def candidates(self) -> List[SubspaceBasis]:
+        return all_subspaces(self.p, self.dim)
 
     def random_subelement(self, rng, s: SubspaceBasis) -> SubspaceBasis:
         picks = [r for r in s.rows if rng.random() < 0.5]

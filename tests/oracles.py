@@ -9,10 +9,15 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
-from typing import List, Optional, Sequence
+from typing import Iterable, List, Optional, Sequence
 
-from closeknit.engine import compute_m
-from closeknit.errors import StructureMismatch
+from closeknit.abstract import AbstractInstance, AbstractLattice, load_abstract
+from closeknit.contlogic import (MetricStructure, delta_phi_n_group,
+                                 delta_phi_n_set, delta_phi_n_vect)
+from closeknit.engine import Instance, compute_m
+from closeknit.errors import (ContractViolation, EnumerationCapExceeded,
+                              StructureMismatch)
+from closeknit.indexposet import IndexValue
 
 ONE = Fraction(1)
 ZERO = Fraction(0)
@@ -322,3 +327,95 @@ def rows_sum(p: int, dim: int, s_rows, t_rows) -> tuple:
 
 def rows_codim(p: int, dim: int, s_rows, t_rows) -> int:
     return len(s_rows) - len(zassenhaus_meet(p, dim, s_rows, t_rows))
+
+
+# ---------------------------------------------------------------------------
+# Discrete structures derived from the concrete instantiations, carrying
+# one indicator formula column per family member.
+# ---------------------------------------------------------------------------
+
+def _discrete_distance(k: int) -> List[List[int]]:
+    return [[0 if i == j else 1 for j in range(k)] for i in range(k)]
+
+
+def structure_from_sets(carrier_size: int, family) -> MetricStructure:
+    """Discrete structure on the carrier; formula is 1 off each family member."""
+    table = [[0 if (f.bits >> x) & 1 else 1 for f in family]
+             for x in range(carrier_size)]
+    return MetricStructure(carrier_size, _discrete_distance(carrier_size),
+                           {"phi": table})
+
+
+def structure_from_group(ambient, family) -> MetricStructure:
+    """Discrete structure on the group elements with the multiplication table."""
+    k = len(ambient)
+    table = [[0 if x in f.members else 1 for f in family] for x in range(k)]
+    mult = [[ambient.mult(i, j) for j in range(k)] for i in range(k)]
+    return MetricStructure(k, _discrete_distance(k), {"phi": table},
+                           mult_table=mult)
+
+
+def structure_from_subspaces(p: int, dim: int, family,
+                             cap: int = 1024) -> MetricStructure:
+    """Discrete structure on all of F_p^dim with the coordinate block."""
+    if p ** dim > cap:
+        raise EnumerationCapExceeded(f"{p}^{dim} points exceed cap {cap}")
+    vectors = [tuple(v) for v in product(range(p), repeat=dim)]
+    table = [[0 if f.contains_vector(v) else 1 for f in family] for v in vectors]
+    return MetricStructure(len(vectors), _discrete_distance(len(vectors)),
+                           {"phi": table}, p=p, coords=vectors)
+
+
+def subgroup_points(subgroup) -> List[int]:
+    return sorted(subgroup.members)
+
+
+def subspace_points(ms: MetricStructure, subspace) -> List[int]:
+    """Point indices of a subspace's vectors inside a vector structure."""
+    assert ms._point_of_coords is not None
+    return sorted(ms._point_of_coords[v] for v in subspace.vectors())
+
+
+def delta_tuple(ms: MetricStructure, kind: str, points: Iterable[int], a: int,
+                gamma: Optional[Sequence[int]] = None,
+                n_max: Optional[int] = None) -> IndexValue:
+    """The full index-poset point: values over every formula and n <= n_max."""
+    evaluators = {"set": delta_phi_n_set, "group": delta_phi_n_group,
+                  "vector": delta_phi_n_vect}
+    if kind not in evaluators:
+        raise ContractViolation(f"unknown structure kind {kind!r}")
+    fn = evaluators[kind]
+    limit = ms.n_points if n_max is None else n_max
+    pts = list(points)
+    coords = []
+    for phi in sorted(ms.formulas):
+        for n in range(limit + 1):
+            coords.append(fn(ms, pts, a, gamma, phi, n))
+    return IndexValue(tuple(coords))
+
+
+def tabulate_instance(inst: Instance, elements: Sequence) -> AbstractInstance:
+    """Re-express any instance over an explicit element list as tables.
+
+    The element list must contain the family, be closed under meet, and
+    be closed under every symmetry generator (each concrete kind's
+    `candidates()` provides such a list).
+    """
+    index = {inst.key(e): i for i, e in enumerate(elements)}
+    size = len(elements)
+
+    def pos(x) -> int:
+        k = inst.key(x)
+        if k not in index:
+            raise StructureMismatch("element list is not closed under the data")
+        return index[k]
+
+    meet = [[pos(inst.meet(x, y)) for y in elements] for x in elements]
+    family = [pos(f) for f in inst.family]
+    delta = [[inst.delta(x, a) for a in range(len(inst.family))] for x in elements]
+    increment = [[pos(inst.increment(x, a)) for a in range(len(inst.family))]
+                 for x in elements]
+    gamma = [tuple(pos(inst.act(g, x)) for x in elements)
+             for g in range(len(inst.action_table))]
+    lat = AbstractLattice(size, meet, family, delta, increment, gamma)
+    return load_abstract(lat)

@@ -2,15 +2,17 @@ import random
 
 import pytest
 
-from closeknit.abstract import (AbstractLattice, load_abstract,
-                                random_valid_instance, tabulate_instance)
+from closeknit.abstract import AbstractLattice, load_abstract
 from closeknit.engine import solve, validate_conditions, verify_certificate
 from closeknit.errors import (AssociativityViolation, EquivarianceViolation,
                               IncrementViolation, MonotonicityViolation,
                               StructureMismatch)
+from closeknit.groups import all_subgroups
 from closeknit.indexposet import nat
-from closeknit.oracle import all_subgroups, feasible_set
+from closeknit.oracle import feasible_set
 from closeknit.sets import FiniteSubset, SetInstance
+from tests.genrandom import random_valid_instance
+from tests.oracles import tabulate_instance
 
 
 def chain2(increments, delta=((1,), (1,)), family=(1,)):
@@ -195,7 +197,7 @@ def test_tabulation_roundtrip_groups():
 
 
 def test_tabulation_roundtrip_vector():
-    from closeknit.oracle import all_subspaces
+    from closeknit.vect import all_subspaces
     from closeknit.vect import SubspaceBasis, VectorInstance
     inst = VectorInstance(
         2, 2, [SubspaceBasis.from_vectors(2, 2, [[1, 0]])],

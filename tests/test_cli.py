@@ -1,4 +1,5 @@
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -182,6 +183,37 @@ def test_negative_structural_size_exit_four(payload, message, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"input error: {message}\n"
+
+
+@pytest.mark.parametrize("argv", [["solve"], ["check"], ["oracle", "--bound", "2"]],
+                         ids=["solve", "check", "oracle"])
+@pytest.mark.parametrize("payload,message", [
+    ({"kind": "vector", "vector": {"p": 10**18 + 3, "dim": 1, "seeds": [[[1]]]}},
+     "vector.p: 1000000000000000003 exceeds the limit 2147483647"),
+    ({"kind": "group",
+      "group": {"degree": 30_000_000, "generators": [], "seeds": [[]]}},
+     "group.degree: 30000000 exceeds the limit 4096"),
+    ({"kind": "galois",
+      "galois": {"degree": 4097, "generators": [], "subgroup_seeds": [[]]}},
+     "galois.degree: 4097 exceeds the limit 4096"),
+], ids=["vector-p", "group-degree", "galois-degree"])
+def test_oversized_field_exit_four_at_load(payload, message, argv, tmp_path,
+                                           capsys):
+    start = time.perf_counter()
+    assert run(argv + ["-i", write(tmp_path, "big.json", payload)]) == 4
+    assert time.perf_counter() - start < 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"input error: {message}\n"
+
+
+@pytest.mark.parametrize("payload", [
+    {"kind": "vector", "vector": {"p": 2**31 - 1, "dim": 1, "seeds": [[[1]]]}},
+    {"kind": "group", "group": {"degree": 4096, "generators": [], "seeds": [[]]}},
+], ids=["vector-p", "group-degree"])
+def test_size_field_at_its_limit_solves(payload, tmp_path, capsys):
+    assert run(["solve", "-i", write(tmp_path, "limit.json", payload)]) == 0
+    assert json.loads(capsys.readouterr().out)["verified"] is True
 
 
 def test_two_kind_blocks_rejected(tmp_path):

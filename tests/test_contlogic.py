@@ -5,18 +5,16 @@ import pytest
 
 from closeknit.contlogic import (MetricStructure, delta_phi_n_group,
                                  delta_phi_n_set, delta_phi_n_vect,
-                                 delta_tuple, discrete_reduction,
-                                 structure_from_group, structure_from_sets,
-                                 structure_from_subspaces, subgroup_points,
-                                 subspace_points)
+                                 discrete_reduction)
 from closeknit.errors import (ContractViolation, EnumerationCapExceeded,
                               StructureMismatch)
-from closeknit.groups import PermGroup, subgroup_from_perms
-from closeknit.oracle import all_subgroups, all_subspaces
+from closeknit.groups import PermGroup, all_subgroups, subgroup_from_perms
 from closeknit.sets import FiniteSubset
-from closeknit.vect import SubspaceBasis
-from tests.oracles import (naive_delta_group, naive_delta_set,
-                           naive_delta_vect)
+from closeknit.vect import SubspaceBasis, all_subspaces
+from tests.oracles import (delta_tuple, naive_delta_group, naive_delta_set,
+                           naive_delta_vect, structure_from_group,
+                           structure_from_sets, structure_from_subspaces,
+                           subgroup_points, subspace_points)
 
 HALF = Fraction(1, 2)
 ONE = Fraction(1)

@@ -1,8 +1,8 @@
 from closeknit.engine import verify_certificate
 from closeknit.galois import solve_galois
-from closeknit.groups import (GroupInstance, PermGroup, conjugate_action,
-                              subgroup_from_perms)
-from closeknit.oracle import all_subgroups, feasible_set
+from closeknit.groups import (GroupInstance, PermGroup, all_subgroups,
+                              conjugate_action, subgroup_from_perms)
+from closeknit.oracle import feasible_set
 
 S3 = PermGroup(3, [[1, 0, 2], [1, 2, 0]])
 S4 = PermGroup(4, [[1, 0, 2, 3], [1, 2, 3, 0]])

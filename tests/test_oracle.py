@@ -1,12 +1,12 @@
 import pytest
 
-from closeknit.engine import solve
-from closeknit.errors import EnumerationCapExceeded
-from closeknit.groups import GroupInstance, PermGroup, subgroup_from_perms
-from closeknit.oracle import (all_subgroups, all_subspaces, feasible_set,
-                              invariant_subsets)
-from closeknit.sets import FiniteSubset, SetInstance
-from closeknit.vect import VectorInstance, SubspaceBasis
+from closeknit.engine import Instance, solve
+from closeknit.errors import ContractViolation, EnumerationCapExceeded
+from closeknit.groups import (GroupInstance, PermGroup, all_subgroups,
+                              subgroup_from_perms)
+from closeknit.oracle import feasible_set
+from closeknit.sets import FiniteSubset, SetInstance, invariant_subsets
+from closeknit.vect import VectorInstance, SubspaceBasis, all_subspaces
 
 
 def test_invariant_subsets_trivial_gamma():
@@ -101,3 +101,31 @@ def test_engine_output_always_feasible():
         [[[0, 0, 1], [1, 0, 0], [0, 1, 0]]])
     cert = solve(inst)
     assert cert.invariant_element in feasible_set(inst, cert.bound)
+
+
+def test_candidates_come_from_each_kind():
+    # The oracle asks the instance; each concrete kind enumerates itself,
+    # and all_elements stays None for all three.
+    set_inst = SetInstance(3, [FiniteSubset.from_members(3, [0])], [[1, 2, 0]])
+    assert set_inst.all_elements() is None
+    assert set_inst.candidates() == invariant_subsets(3, [[1, 2, 0]])
+    s3 = PermGroup(3, [[1, 0, 2], [1, 2, 0]])
+    group_inst = GroupInstance(s3, [subgroup_from_perms(s3, [[1, 0, 2]])], [])
+    assert group_inst.all_elements() is None
+    assert group_inst.candidates() == all_subgroups(s3)
+    line = SubspaceBasis.from_vectors(2, 2, [[1, 0]])
+    vector_inst = VectorInstance(2, 2, [line], [])
+    assert vector_inst.all_elements() is None
+    assert vector_inst.candidates() == all_subspaces(2, 2)
+
+
+def test_feasible_set_without_enumerator_raises():
+    class Bare(SetInstance):
+        kind = "bare"
+
+        def candidates(self):
+            return Instance.candidates(self)
+
+    inst = Bare(2, [FiniteSubset.from_members(2, [0])], [])
+    with pytest.raises(ContractViolation, match="no enumerator for kind 'bare'"):
+        feasible_set(inst, 1)

@@ -40,10 +40,9 @@ EXPORTS = [
     "increment_group", "index_of", "indexposet", "intersect",
     "invariant_subsets", "leq", "load_abstract", "matrix_action",
     "maximal_in", "measure_group", "measure_set", "measure_vect", "n_of",
-    "nat", "oracle", "orbit_closure", "product_set", "random_valid_instance",
+    "nat", "oracle", "orbit_closure", "product_set",
     "sets", "solve", "solve_galois", "strictly_below", "strong_elements",
-    "structure_from_group", "structure_from_sets", "structure_from_subspaces",
-    "subgroup_from_perms", "tabulate_instance", "validate_conditions", "vect",
+    "subgroup_from_perms", "validate_conditions", "vect",
     "verify_certificate",
 ]
 
@@ -52,7 +51,7 @@ SUBMODULES = {"abstract", "contlogic", "engine", "errors", "galois", "groups",
 
 
 def test_exports_are_unchanged():
-    assert len(EXPORTS) == 83
+    assert len(EXPORTS) == 78
     assert closeknit.__all__ == EXPORTS
 
 
@@ -166,3 +165,31 @@ def test_solve_start_loads_only_its_kind(name, kind_modules, tmp_path):
     assert "inspect" not in modules
     loaded = {m.split(".", 1)[1] for m in modules if m.startswith("closeknit.")}
     assert loaded & KIND_MODULES == kind_modules
+
+
+ORACLE_CHILD = """
+import json, runpy, sys
+sys.argv = ["closeknit", "oracle", "--bound", "2", "-i", sys.argv[1]]
+code = None
+try:
+    runpy.run_module("closeknit", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    code = exc.code
+print(json.dumps({"code": code, "modules": sorted(sys.modules)}))
+"""
+
+
+def test_oracle_on_a_set_file_loads_only_sets():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH", "")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", ORACLE_CHILD,
+         str(ROOT / "instances" / "set6.json")],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["code"] == 0
+    loaded = {m.split(".", 1)[1] for m in result["modules"]
+              if m.startswith("closeknit.")}
+    assert loaded & KIND_MODULES == {"oracle", "sets"}

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from closeknit.engine import EngineOptions, solve
+from closeknit.engine import EngineOptions, solve, verify_certificate
 from closeknit.errors import InvalidAction, StructureMismatch
 from closeknit.vect import (SubspaceBasis, VectorInstance, add, codim,
                             intersect, matrix_action, measure_vect)
@@ -127,6 +127,24 @@ def test_singular_matrix_rejected():
         matrix_action([[1, 1], [1, 1]], s)
 
 
+def test_generator_rank_checked_once(monkeypatch):
+    # VectorInstance checks each generator when it is built; act and the
+    # solve apply the checked matrices without a second elimination.
+    import closeknit.vect as vect
+    calls = []
+    real = vect.matrix_rank
+    monkeypatch.setattr(vect, "matrix_rank",
+                        lambda *args: calls.append(args) or real(*args))
+    cyc = [[0, 0, 1], [1, 0, 0], [0, 1, 0]]
+    inst = VectorInstance(2, 3, [span(2, 3, (1, 0, 0), (0, 1, 0))], [cyc, cyc])
+    assert len(calls) == 2
+    cert = solve(inst, mode="both")
+    assert verify_certificate(inst, cert)
+    assert len(calls) == 2
+    with pytest.raises(InvalidAction):
+        VectorInstance(2, 2, [span(2, 2, (1, 0))], [[[1, 1], [1, 1]]])
+
+
 def test_shape_mismatch():
     with pytest.raises(StructureMismatch):
         intersect(span(2, 2, (1, 0)), span(2, 3, (1, 0, 0)))
@@ -135,7 +153,7 @@ def test_shape_mismatch():
 
 
 def test_condition_three_for_sum_exhaustive_f2_3():
-    from closeknit.oracle import all_subspaces
+    from closeknit.vect import all_subspaces
     spaces = all_subspaces(2, 3)
     for t in spaces:
         for s in spaces:
