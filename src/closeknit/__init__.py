@@ -33,8 +33,7 @@ _EXPORTS = {
     "groups": ("GroupInstance", "PermGroup", "Subgroup", "all_subgroups",
                "closure", "conjugate_action", "increment_group", "index_of",
                "measure_group", "product_set", "subgroup_from_perms"),
-    "indexposet": ("DownSet", "IndexValue", "downset_of", "leq", "maximal_in",
-                   "nat", "strictly_below"),
+    "indexposet": ("DownSet", "IndexValue", "downset_of", "leq", "maximal_in", "nat"),
     "oracle": ("feasible_set",),
     "sets": ("FiniteSubset", "SetInstance", "invariant_subsets", "measure_set"),
     "vect": ("SubspaceBasis", "VectorInstance", "add", "all_subspaces", "codim",

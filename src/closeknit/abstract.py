@@ -55,8 +55,7 @@ def _check_shapes(lat: AbstractLattice) -> None:
     for g in lat.gamma:
         if sorted(g) != list(range(k)):
             raise StructureMismatch(f"gamma entry is not an element permutation: {g}")
-    shapes = {(len(iv.coords), iv.kind) for row in lat.delta_table for iv in row}
-    if len(shapes) > 1:
+    if len({iv.shape for row in lat.delta_table for iv in row}) > 1:
         raise StructureMismatch("delta table mixes index-value shapes")
 
 
@@ -207,37 +206,17 @@ class AbstractInstance(Instance):
         return elements, pairs
 
 
-def load_abstract(description: AbstractLattice | dict,
+def load_abstract(lattice: AbstractLattice,
                   options: Optional[EngineOptions] = None) -> AbstractInstance:
-    """Validate a tabular description and wrap it for the engine.
+    """Validate a tabular lattice and wrap it for the engine.
 
     Raises the specific condition violation (semilattice, monotonicity,
     increment, equivariance) that the tables break.
     """
-    if isinstance(description, dict):
-        lat = lattice_from_dict(description)
-    else:
-        lat = description
-    _check_shapes(lat)
-    _check_semilattice(lat)
-    _check_monotone(lat)
-    _check_increment(lat)
-    _check_duplicates(lat)
-    _check_gamma(lat)
-    return AbstractInstance(lat, options)
-
-
-def lattice_from_dict(description: dict) -> AbstractLattice:
-    try:
-        delta = [[IndexValue(tuple(int(c) for c in cell)) for cell in row]
-                 for row in description["delta_table"]]
-        return AbstractLattice(
-            size=int(description["size"]),
-            meet_table=[[int(v) for v in row] for row in description["meet_table"]],
-            family=[int(f) for f in description["family"]],
-            delta_table=delta,
-            increment_table=[[int(v) for v in row] for row in description["increment_table"]],
-            gamma=[tuple(int(v) for v in g) for g in description.get("gamma", [])],
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise StructureMismatch(f"bad abstract lattice description: {exc}") from exc
+    _check_shapes(lattice)
+    _check_semilattice(lattice)
+    _check_monotone(lattice)
+    _check_increment(lattice)
+    _check_duplicates(lattice)
+    _check_gamma(lattice)
+    return AbstractInstance(lattice, options)

@@ -113,7 +113,7 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_eval_delta(args) -> int:
-    from .contlogic import delta_phi_n_group, delta_phi_n_set, delta_phi_n_vect
+    from .contlogic import KIND_EVALUATORS
 
     _at_least(0, args.n_max, "--n-max")
     loaded = load_file(args.input)
@@ -127,11 +127,9 @@ def cmd_eval_delta(args) -> int:
         kinds.append("group")
     if ms.p is not None:
         kinds.append("vector")
-    evaluators = {"set": delta_phi_n_set, "group": delta_phi_n_group,
-                  "vector": delta_phi_n_vect}
     tables = []
     for kind in kinds:
-        fn = evaluators[kind]
+        fn = KIND_EVALUATORS[kind]
         for subset in subsets:
             for phi in sorted(ms.formulas):
                 for a in range(ms.n_params or 0):
@@ -184,10 +182,7 @@ def run(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except InputFormatError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    except StructureMismatch as exc:
+    except (InputFormatError, StructureMismatch, ContractViolation) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
     except CapExceeded as exc:
@@ -196,9 +191,6 @@ def run(argv: Optional[List[str]] = None) -> int:
     except (ConditionViolation, InvalidAction) as exc:
         print(f"validation failure: {exc}", file=sys.stderr)
         return EXIT_VIOLATIONS
-    except ContractViolation as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
     except CloseKnitError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

@@ -321,7 +321,7 @@ def delta_phi_n_vect(ms: MetricStructure, points: Iterable[int], a: int,
     return best
 
 
-_KIND_EVALUATORS = {
+KIND_EVALUATORS = {
     "set": delta_phi_n_set,
     "group": delta_phi_n_group,
     "vector": delta_phi_n_vect,
@@ -337,7 +337,7 @@ def discrete_reduction(ms: MetricStructure, kind: str, points: Iterable[int],
     Equals |S minus F_a| for the set shape, the index [S : S meet F_a]
     for the group shape, and the codimension for the vector shape.
     """
-    if kind not in _KIND_EVALUATORS:
+    if kind not in KIND_EVALUATORS:
         raise ContractViolation(f"unknown structure kind {kind!r}")
     if not ms.is_discrete():
         raise ContractViolation("reduction requires the discrete metric")
@@ -348,7 +348,7 @@ def discrete_reduction(ms: MetricStructure, kind: str, points: Iterable[int],
     col_all = ms.formulas[phi]
     if any(v not in (ZERO, ONE) for row in col_all for v in row):
         raise ContractViolation("reduction requires an indicator-type formula")
-    fn = _KIND_EVALUATORS[kind]
+    fn = KIND_EVALUATORS[kind]
     pts = list(points)
     largest = 0
     for n in range(1, ms.n_points + 2):

@@ -241,7 +241,7 @@ def strong_elements(inst: Instance, subset_cap: int = DEFAULT_SUBSET_CAP) -> Lis
         if k in seen:
             continue
         seen.add(k)
-        if compute_m(inst, s).same_as(m_min):
+        if compute_m(inst, s) == m_min:
             out.append(s)
     return out
 

@@ -2,9 +2,13 @@
 
 Index values are fixed-length vectors ordered componentwise.  Levels are
 either non-negative integers (the discrete instantiations) or exact
-rationals in [0, 1] (the metric evaluators); a single problem never mixes
-the two kinds.  A down-set is stored by its antichain of maximal
-generators, which determines it completely.
+rationals in [0, 1] (the metric evaluators).  A value's shape is its
+length and level type.  Each value checks its own levels once, when it
+is constructed; values of one problem share one shape, and `downset_of`
+checks that once per down-set, so `leq` only compares coordinates.  A
+down-set is stored by its antichain of maximal generators, sorted, which
+determines it completely: two down-sets of one shape are equal exactly
+when their generators are.
 """
 
 from __future__ import annotations
@@ -70,26 +74,20 @@ class IndexValue(FrozenValue):
                 raise StructureMismatch(f"negative natural level {c}")
 
     @property
-    def kind(self) -> str:
-        if self.coords and isinstance(self.coords[0], Fraction):
-            return "rational"
-        return "nat"
+    def shape(self) -> Tuple[int, type]:
+        """(length, level type); an empty value counts as integer-levelled."""
+        coords = self.coords
+        return len(coords), type(coords[0]) if coords else int
 
     def __len__(self) -> int:
         return len(self.coords)
 
-    def _check_compatible(self, other: "IndexValue") -> None:
-        if len(self.coords) != len(other.coords):
-            raise StructureMismatch(
-                f"length mismatch: {len(self.coords)} vs {len(other.coords)}"
-            )
-        if self.coords and other.coords and self.kind != other.kind:
-            raise StructureMismatch(f"kind mismatch: {self.kind} vs {other.kind}")
-
 
 def leq(xi: IndexValue, zeta: IndexValue) -> bool:
-    """Componentwise order: every coordinate of xi at most the one of zeta."""
-    xi._check_compatible(zeta)
+    """Componentwise order: every coordinate of xi at most the one of zeta.
+
+    Both values must have the same shape; this is not checked here.
+    """
     return all(a <= b for a, b in zip(xi.coords, zeta.coords))
 
 
@@ -115,25 +113,17 @@ class DownSet(FrozenValue):
     def __contains__(self, xi: IndexValue) -> bool:
         return any(leq(xi, g) for g in self.generators)
 
-    def is_subset(self, other: "DownSet") -> bool:
-        # A down-set is contained in another iff each generator is a member.
-        return all(g in other for g in self.generators)
-
-    def __le__(self, other: "DownSet") -> bool:
-        return self.is_subset(other)
-
-    def same_as(self, other: "DownSet") -> bool:
-        return self.is_subset(other) and other.is_subset(self)
-
 
 def downset_of(values: Iterable[IndexValue]) -> DownSet:
-    """Down-set generated by the given values (generators = maximal elements)."""
+    """Down-set generated by the given values (generators = maximal elements).
+
+    Raises StructureMismatch when the values have more than one shape.
+    """
     vals = list(values)
     if not vals:
         raise ContractViolation("down-set requires a non-empty value list")
-    first = vals[0]
-    for v in vals[1:]:
-        first._check_compatible(v)
+    if len({v.shape for v in vals}) > 1:
+        raise StructureMismatch("down-set values mix index-value shapes")
     maximal: List[IndexValue] = []
     for v in vals:
         if any(leq(v, m) for m in maximal):
@@ -143,11 +133,6 @@ def downset_of(values: Iterable[IndexValue]) -> DownSet:
     # Deterministic generator order regardless of input order.
     maximal.sort(key=lambda iv: tuple(iv.coords))
     return DownSet(tuple(maximal))
-
-
-def strictly_below(d: DownSet, e: DownSet) -> bool:
-    """True iff d is contained in e and differs from it as a down-set."""
-    return d.is_subset(e) and not e.is_subset(d)
 
 
 def maximal_in(d: DownSet, values: Sequence[IndexValue]) -> List[int]:

@@ -220,7 +220,7 @@ def _load_vector(block: dict, options: EngineOptions, mode: str) -> LoadedFile:
 
 
 def _load_abstract(block: dict, options: EngineOptions, mode: str) -> LoadedFile:
-    from .abstract import load_abstract
+    from .abstract import AbstractLattice, load_abstract
 
     for field in ("size", "meet_table", "family", "delta_table", "increment_table"):
         _require(field in block, f"abstract.{field} is required")
@@ -228,17 +228,19 @@ def _load_abstract(block: dict, options: EngineOptions, mode: str) -> LoadedFile
     _require(isinstance(delta_rows, list)
              and all(isinstance(row, list) for row in delta_rows),
              "abstract.delta_table: expected a table of rows")
-    description = {
-        "size": _as_int(block["size"], "abstract.size"),
-        "meet_table": _int_matrix(block["meet_table"], "abstract.meet_table"),
-        "family": _int_list(block["family"], "abstract.family"),
-        "delta_table": [[_int_list(cell, "abstract.delta_table") for cell in row]
-                        for row in delta_rows],
-        "increment_table": _int_matrix(block["increment_table"],
-                                       "abstract.increment_table"),
-        "gamma": _int_matrix(block.get("gamma", []), "abstract.gamma"),
-    }
-    inst = load_abstract(description, options)
+    size = _as_int(block["size"], "abstract.size")
+    meet_table = _int_matrix(block["meet_table"], "abstract.meet_table")
+    family = _int_list(block["family"], "abstract.family")
+    delta_cells = [[_int_list(cell, "abstract.delta_table") for cell in row]
+                   for row in delta_rows]
+    increment_table = _int_matrix(block["increment_table"], "abstract.increment_table")
+    gamma = _int_matrix(block.get("gamma", []), "abstract.gamma")
+    # Every field is type-checked before any level is range-checked.
+    lattice = AbstractLattice(
+        size, meet_table, family,
+        [[IndexValue(tuple(cell)) for cell in row] for row in delta_cells],
+        increment_table, [tuple(g) for g in gamma])
+    inst = load_abstract(lattice, options)
     return LoadedFile("abstract", instance=inst, options=options, mode=mode)
 
 

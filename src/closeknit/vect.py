@@ -18,6 +18,7 @@ reduction, of width 2n.
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import product
 from typing import Iterable, List, Sequence, Tuple
 
@@ -29,12 +30,13 @@ Vector = Tuple[int, ...]
 Matrix = Tuple[Vector, ...]
 
 # Largest field size an instance file may give: `is_prime` trial-divides
-# up to its square root, about 46,000 steps.
+# up to its square root, about 46,000 steps, once per distinct p.
 MAX_P = 2 ** 31 - 1
 MAX_SPACE_POINTS = 1024
 MAX_SUBSPACES = 100_000
 
 
+@cache
 def is_prime(p: int) -> bool:
     if p < 2:
         return False
@@ -174,17 +176,6 @@ class SubspaceBasis:
                 c = residue[lead]
                 residue = [(a - c * b) % self.p for a, b in zip(residue, row)]
         return not any(residue)
-
-    def leq(self, other: "SubspaceBasis") -> bool:
-        return codim(self, other) == 0
-
-    def vectors(self) -> List[Vector]:
-        """All p^rank member vectors (small subspaces only)."""
-        out = [tuple([0] * self.dim)]
-        for row in self.rows:
-            out = [tuple((a + c * b) % self.p for a, b in zip(v, row))
-                   for v in out for c in range(self.p)]
-        return sorted(set(out))
 
 
 def intersect(s: SubspaceBasis, t: SubspaceBasis) -> SubspaceBasis:

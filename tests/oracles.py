@@ -17,7 +17,8 @@ from closeknit.contlogic import (MetricStructure, delta_phi_n_group,
 from closeknit.engine import Instance, compute_m
 from closeknit.errors import (ContractViolation, EnumerationCapExceeded,
                               StructureMismatch)
-from closeknit.indexposet import IndexValue
+from closeknit.indexposet import DownSet, IndexValue
+from closeknit.instancefiles import load_dict
 
 ONE = Fraction(1)
 ZERO = Fraction(0)
@@ -212,6 +213,16 @@ def increment_group_unoptimized(s, f) -> frozenset:
 
 # -- strong search -----------------------------------------------------------
 
+def is_subset(d: DownSet, e: DownSet) -> bool:
+    """Down-set containment: each generator of d is a member of e."""
+    return all(g in e for g in d.generators)
+
+
+def strictly_below(d: DownSet, e: DownSet) -> bool:
+    """True iff d is contained in e and differs from it as a down-set."""
+    return is_subset(d, e) and not is_subset(e, d)
+
+
 def greedy_strong(inst):
     """A strong element by greedy descent from f_0: keep meeting with the
     lowest-indexed family member that strictly shrinks the distance
@@ -225,7 +236,7 @@ def greedy_strong(inst):
             if cand == s:
                 continue
             m_c = compute_m(inst, cand)
-            shrinks_m = m_c.is_subset(m_s) and not m_s.is_subset(m_c)
+            shrinks_m = strictly_below(m_c, m_s)
             shrinks_elem = inst.leq(cand, s) and cand != s
             if shrinks_m or shrinks_elem:
                 chosen = cand
@@ -373,7 +384,16 @@ def subgroup_points(subgroup) -> List[int]:
 def subspace_points(ms: MetricStructure, subspace) -> List[int]:
     """Point indices of a subspace's vectors inside a vector structure."""
     assert ms._point_of_coords is not None
-    return sorted(ms._point_of_coords[v] for v in subspace.vectors())
+    return sorted(ms._point_of_coords[v] for v in subspace_vectors(subspace))
+
+
+def subspace_vectors(s) -> List[tuple]:
+    """All p^rank member vectors of a subspace (small subspaces only)."""
+    out = [tuple([0] * s.dim)]
+    for row in s.rows:
+        out = [tuple((a + c * b) % s.p for a, b in zip(v, row))
+               for v in out for c in range(s.p)]
+    return sorted(set(out))
 
 
 def delta_tuple(ms: MetricStructure, kind: str, points: Iterable[int], a: int,
@@ -419,3 +439,8 @@ def tabulate_instance(inst: Instance, elements: Sequence) -> AbstractInstance:
              for g in range(len(inst.action_table))]
     lat = AbstractLattice(size, meet, family, delta, increment, gamma)
     return load_abstract(lat)
+
+
+def abstract_from_dict(block: dict) -> AbstractInstance:
+    """Load an abstract block through the instance-file parser."""
+    return load_dict({"kind": "abstract", "abstract": block}).instance

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from closeknit.abstract import AbstractLattice, load_abstract
+from closeknit.abstract import AbstractLattice
 from closeknit.engine import solve, validate_conditions, verify_certificate
 from closeknit.errors import (AssociativityViolation, EquivarianceViolation,
                               IncrementViolation, MonotonicityViolation,
@@ -12,7 +12,7 @@ from closeknit.indexposet import nat
 from closeknit.oracle import feasible_set
 from closeknit.sets import FiniteSubset, SetInstance
 from tests.genrandom import random_valid_instance
-from tests.oracles import tabulate_instance
+from tests.oracles import abstract_from_dict, tabulate_instance
 
 
 def chain2(increments, delta=((1,), (1,)), family=(1,)):
@@ -27,7 +27,7 @@ def chain2(increments, delta=((1,), (1,)), family=(1,)):
 
 
 def test_two_chain_loads_and_solves_top():
-    inst = load_abstract(chain2((1, 1)))
+    inst = abstract_from_dict(chain2((1, 1)))
     cert = solve(inst, mode="both")
     assert cert.invariant_element == 1
     assert cert.gamma_fixed
@@ -39,7 +39,7 @@ def test_output_may_exceed_family_join():
     # Family is just the bottom element but both increments point at the
     # top, so the answer leaps past the family join; certificates must
     # still verify (tabular instances carry no upper sandwich bound).
-    inst = load_abstract({
+    inst = abstract_from_dict({
         "size": 2, "meet_table": [[0, 0], [0, 1]], "family": [0],
         "delta_table": [[[0]], [[0]]], "increment_table": [[1], [1]],
         "gamma": []})
@@ -52,20 +52,20 @@ def test_output_may_exceed_family_join():
 
 def test_increment_violation_equal_delta_different_increments():
     with pytest.raises(IncrementViolation):
-        load_abstract(chain2((0, 1)))
+        abstract_from_dict(chain2((0, 1)))
 
 
 def test_increment_violation_not_growing():
     bad = chain2((1, 1))
     bad["increment_table"] = [[1], [0]]  # top mapped below itself
     with pytest.raises(IncrementViolation):
-        load_abstract(bad)
+        abstract_from_dict(bad)
 
 
 def test_monotonicity_violation():
     bad = chain2((1, 1), delta=((1,), (0,)))  # bottom farther than top
     with pytest.raises(MonotonicityViolation):
-        load_abstract(bad)
+        abstract_from_dict(bad)
 
 
 def test_associativity_violation():
@@ -79,25 +79,25 @@ def test_associativity_violation():
         "gamma": [],
     }
     with pytest.raises(AssociativityViolation):
-        load_abstract(bad)
+        abstract_from_dict(bad)
 
 
 def test_equivariance_violations():
     description = chain2((1, 1))
     description["gamma"] = [[1, 0]]  # swaps bottom and top: not an automorphism
     with pytest.raises(EquivarianceViolation):
-        load_abstract(description)
+        abstract_from_dict(description)
 
 
 def test_gamma_must_be_permutation():
     description = chain2((1, 1))
     description["gamma"] = [[0, 0]]
     with pytest.raises(StructureMismatch):
-        load_abstract(description)
+        abstract_from_dict(description)
 
 
 def test_diamond_example_solves_gamma_fixed():
-    inst = load_abstract({
+    inst = abstract_from_dict({
         "size": 4,
         "meet_table": [[0, 0, 0, 0], [0, 1, 0, 1], [0, 0, 2, 2], [0, 1, 2, 3]],
         "family": [1, 2],
@@ -118,20 +118,20 @@ def test_duplicate_family_entries_must_agree():
     description["delta_table"] = [[[1], [0]], [[1], [1]]]
     description["increment_table"] = [[1, 1], [1, 1]]
     with pytest.raises(Exception):
-        load_abstract(description)
+        abstract_from_dict(description)
 
 
 def test_consistent_duplicates_load_and_dedupe():
     description = chain2((1, 1), family=(1, 1))
     description["delta_table"] = [[[1], [1]], [[1], [1]]]
     description["increment_table"] = [[1, 1], [1, 1]]
-    inst = load_abstract(description)
+    inst = abstract_from_dict(description)
     assert len(inst.family) == 1
     assert solve(inst).invariant_element == 1
 
 
 def test_validate_conditions_on_loaded_instance():
-    inst = load_abstract(chain2((1, 1)))
+    inst = abstract_from_dict(chain2((1, 1)))
     report = validate_conditions(inst)
     assert report.ok
 

@@ -246,6 +246,20 @@ def test_bad_permutation_exit_four(tmp_path):
     assert run(["solve", "-i", path]) == 4
 
 
+@pytest.mark.parametrize("command", ["solve", "check"])
+def test_abstract_mixed_delta_shapes_exit_four(command, tmp_path, capsys):
+    path = write(tmp_path, "mixed.json", {
+        "kind": "abstract",
+        "abstract": {"size": 2, "meet_table": [[0, 0], [0, 1]], "family": [1],
+                     "delta_table": [[[0]], [[1, 0]]],
+                     "increment_table": [[1], [1]]},
+    })
+    assert run([command, "-i", path]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "input error: delta table mixes index-value shapes\n"
+
+
 def test_non_normalizing_gamma_exit_two(tmp_path):
     path = write(tmp_path, "nonnorm.json", {
         "kind": "group",

@@ -209,4 +209,4 @@ def test_delta_tuple_shape():
     ms = structure_from_sets(3, [f])
     iv = delta_tuple(ms, "set", [0, 1], 0, n_max=3)
     assert len(iv.coords) == 4 * len(ms.formulas)
-    assert iv.kind == "rational"
+    assert iv.shape == (4 * len(ms.formulas), Fraction)

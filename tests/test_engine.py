@@ -3,7 +3,6 @@ from pathlib import Path
 
 import pytest
 
-from closeknit.abstract import load_abstract
 from closeknit.engine import (DEFAULT_ORBIT_CAP, EngineOptions, _measures_of,
                               compute_m, evaluate, greatest_n, meet_of_family,
                               n_of, orbit_closure, solve, strong_elements,
@@ -16,7 +15,8 @@ from closeknit.instancefiles import load_file
 from closeknit.sets import FiniteSubset, SetInstance
 from tests.genrandom import (random_group_instance, random_set_instance,
                              random_valid_instance, random_vector_instance)
-from tests.oracles import brute_orbit, greedy_strong, two_pass_orbit_closure
+from tests.oracles import (abstract_from_dict, brute_orbit, greedy_strong,
+                           two_pass_orbit_closure)
 
 INSTANCES = Path(__file__).resolve().parent.parent / "instances"
 
@@ -94,7 +94,7 @@ def test_argmax_from_distance_tables():
     # Chain 0 < 1 < 2 < 3, family (1, 2, 3); the full meet's distance row
     # is (1, 2, 2), so the argmax indices are exactly the positions
     # holding the maximum.
-    inst = load_abstract({
+    inst = abstract_from_dict({
         "size": 4,
         "meet_table": [[min(i, j) for j in range(4)] for i in range(4)],
         "family": [1, 2, 3],
@@ -118,7 +118,7 @@ def test_greatest_n_two_strong_elements_distinct_n():
     meet = [[0, 0, 0, 0], [0, 1, 0, 1], [0, 0, 2, 2], [0, 1, 2, 3]]
     delta = [[[1], [0]], [[1], [1]], [[1], [0]], [[1], [2]]]
     inc = [[3, 2], [3, 1], [3, 2], [3, 3]]
-    inst = load_abstract({
+    inst = abstract_from_dict({
         "size": 4, "meet_table": meet, "family": [1, 2],
         "delta_table": delta, "increment_table": inc, "gamma": []})
     strong = strong_elements(inst)
@@ -148,7 +148,7 @@ def test_greatest_n_descent_iterates_twice():
                  [15, 13, 15, 15], [15, 15, 15, 15], [15, 15, 15, 15],
                  [15, 13, 15, 15], [15, 13, 15, 15], [15, 15, 15, 15],
                  [15, 15, 15, 15]]
-    inst = load_abstract({
+    inst = abstract_from_dict({
         "size": 16,
         "meet_table": [[i & j for j in range(16)] for i in range(16)],
         "family": [5, 6, 10, 11],

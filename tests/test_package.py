@@ -7,6 +7,7 @@ value types are plain classes; their equality, hash, immutability and
 repr are pinned to what a frozen dataclass gave them.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -41,7 +42,7 @@ EXPORTS = [
     "invariant_subsets", "leq", "load_abstract", "matrix_action",
     "maximal_in", "measure_group", "measure_set", "measure_vect", "n_of",
     "nat", "oracle", "orbit_closure", "product_set",
-    "sets", "solve", "solve_galois", "strictly_below", "strong_elements",
+    "sets", "solve", "solve_galois", "strong_elements",
     "subgroup_from_perms", "validate_conditions", "vect",
     "verify_certificate",
 ]
@@ -51,7 +52,7 @@ SUBMODULES = {"abstract", "contlogic", "engine", "errors", "galois", "groups",
 
 
 def test_exports_are_unchanged():
-    assert len(EXPORTS) == 78
+    assert len(EXPORTS) == 77
     assert closeknit.__all__ == EXPORTS
 
 
@@ -112,6 +113,21 @@ def test_index_value_stores_a_list_as_a_tuple():
     value = IndexValue([3, 4])
     assert value.coords == (3, 4)
     assert value == IndexValue((3, 4))
+
+
+def test_readme_library_example_runs():
+    # The python block under "## Library" runs as written, and every line
+    # ending in "  # <literal>" evaluates to that literal.
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = text.split("\n## Library\n", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    namespace = {}
+    exec(block, namespace)
+    results = [line.split("  # ", 1) for line in block.splitlines()
+               if "  # " in line]
+    assert [expected.strip() for _, expected in results] == ["[1, 2]"]
+    for expr, expected in results:
+        assert eval(expr, namespace) == ast.literal_eval(expected.strip())
 
 
 def test_validation_report_as_dict():

@@ -6,11 +6,12 @@ import random
 from hypothesis import given, settings, strategies as st
 
 from closeknit.engine import meet_of_family, solve
-from closeknit.indexposet import downset_of, leq, nat, strictly_below
+from closeknit.indexposet import downset_of, leq, nat
 from closeknit.oracle import feasible_set
 from closeknit.sets import FiniteSubset, SetInstance
 from tests.genrandom import (random_concrete_instance, random_group_instance,
                              random_permutation, random_set_instance)
+from tests.oracles import is_subset, strictly_below
 
 
 index_values = st.lists(
@@ -51,6 +52,16 @@ def test_strictly_below_transitive(xs, ys, zs):
     d, e, f = downset_of(xs), downset_of(ys), downset_of(zs)
     if strictly_below(d, e) and strictly_below(e, f):
         assert strictly_below(d, f)
+
+
+@given(value_lists, value_lists)
+@settings(max_examples=200)
+def test_downset_equality_is_mutual_containment(xs, ys):
+    d, e = downset_of(xs), downset_of(ys)
+    assert (d == e) == (is_subset(d, e) and is_subset(e, d))
+    # Adding values that d already holds, in any order, leaves d unchanged.
+    same = downset_of([y for y in ys if y in d] + xs[::-1])
+    assert same == d and is_subset(same, d) and is_subset(d, same)
 
 
 @given(st.integers(min_value=0, max_value=2 ** 6 - 1),

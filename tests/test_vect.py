@@ -1,13 +1,16 @@
 import importlib.util
 import json
+import math
 import random
 import sys
 from pathlib import Path
 
 import pytest
 
-from closeknit.engine import EngineOptions, solve, verify_certificate
+from closeknit.engine import (EngineOptions, solve, validate_conditions,
+                              verify_certificate)
 from closeknit.errors import InvalidAction, StructureMismatch
+from closeknit.instancefiles import load_dict
 from closeknit.vect import (SubspaceBasis, VectorInstance, add, codim,
                             intersect, matrix_action, measure_vect)
 from tests.oracles import (list_rref, rows_codim, rows_sum, span_rows,
@@ -82,7 +85,7 @@ def test_kernel_matches_list_oracle():
         backward = rows_codim(p, dim, t_rows, s_rows)
         assert codim(s, t) == forward
         assert measure_vect(s, t) == (forward, backward)
-        assert s.leq(t) == (forward == 0)
+        assert (intersect(s, t) == s) == (forward == 0)
         # A subspace built from its own RREF rows behaves the same.
         direct = SubspaceBasis(p, dim, s_rows)
         assert intersect(direct, t) == intersect(s, t)
@@ -145,6 +148,36 @@ def test_generator_rank_checked_once(monkeypatch):
         VectorInstance(2, 2, [span(2, 2, (1, 0))], [[[1, 1], [1, 1]]])
 
 
+class _CountingModulus(int):
+    """An int that counts the remainders taken with it on the left; in
+    `vect` those are exactly `is_prime`'s trial divisions."""
+
+    divisions = 0
+
+    def __mod__(self, other):
+        _CountingModulus.divisions += 1
+        return int(self) % other
+
+
+def test_check_trial_divides_a_large_prime_once():
+    # `check` on a two-dimensional file over F_p builds hundreds of
+    # subspaces; p = 2^31 - 1 needs about 46,000 trial divisions, and the
+    # check must pay them at most once, not once per subspace.
+    p = _CountingModulus(2 ** 31 - 1)
+    _CountingModulus.divisions = 0
+    loaded = load_dict({"kind": "vector", "vector": {
+        "p": p, "dim": 2, "seeds": [[[1, 5]], [[3, 1]]]}})
+    report = validate_conditions(loaded.instance, samples=200)
+    assert report.ok and report.checked_pairs > 0
+    assert _CountingModulus.divisions <= math.isqrt(p)
+    composite = 65537 ** 2
+    for _ in range(2):  # the second round answers from the memo
+        with pytest.raises(StructureMismatch):
+            SubspaceBasis.zero(composite, 2)
+        with pytest.raises(StructureMismatch):
+            SubspaceBasis.from_vectors(composite, 2, [[1, 0]])
+
+
 def test_shape_mismatch():
     with pytest.raises(StructureMismatch):
         intersect(span(2, 2, (1, 0)), span(2, 3, (1, 0, 0)))
@@ -157,7 +190,7 @@ def test_condition_three_for_sum_exhaustive_f2_3():
     spaces = all_subspaces(2, 3)
     for t in spaces:
         for s in spaces:
-            if not t.leq(s):
+            if codim(t, s):
                 continue
             for f in spaces:
                 if codim(t, f) == codim(s, f):
