@@ -18,7 +18,8 @@ import argparse
 import sys
 from typing import List, Optional
 
-from .engine import solve, validate_conditions, verify_certificate
+from .engine import (ValidationReport, solve, validate_conditions,
+                     verify_certificate)
 from .errors import (CapExceeded, CloseKnitError, ConditionViolation,
                      ContractViolation, InputFormatError, InvalidAction,
                      StructureMismatch)
@@ -80,20 +81,16 @@ def cmd_check(args) -> int:
     try:
         loaded = load_file(args.input)
     except ConditionViolation as exc:
-        report = {"violations": [{"condition": exc.clause, "detail": str(exc),
-                                  "type": type(exc).__name__}],
-                  "notes": [], "checked_pairs": 0, "checked_elements": 0}
-        _emit(dump_canonical(report), args.output)
-        return EXIT_VIOLATIONS
-    if loaded.kind == "metric":
-        report = {"violations": [], "notes": ["structure validated on load"],
-                  "checked_pairs": 0, "checked_elements": 0}
-        _emit(dump_canonical(report), args.output)
-        return EXIT_OK
-    inst = _solvable(loaded)
-    result = validate_conditions(inst, samples=args.samples)
-    _emit(dump_canonical(result.as_dict()), args.output)
-    return EXIT_OK if result.ok else EXIT_VIOLATIONS
+        report = ValidationReport(violations=[{
+            "condition": exc.clause, "detail": str(exc),
+            "type": type(exc).__name__}])
+    else:
+        if loaded.kind == "metric":
+            report = ValidationReport(notes=["structure validated on load"])
+        else:
+            report = validate_conditions(_solvable(loaded), samples=args.samples)
+    _emit(dump_canonical(report.as_dict()), args.output)
+    return EXIT_OK if report.ok else EXIT_VIOLATIONS
 
 
 def cmd_oracle(args) -> int:

@@ -1,17 +1,18 @@
 """Exact [0,1]-valued distance-formula evaluators on finite metric structures.
 
-Three shapes are supported on a common carrier of points:
+delta_{phi,n}(S, a) is the sup over n-tuples from S of a value that can
+only fall as the tuple grows.  One branch-and-bound search serves every
+shape, which supplies only its step: how appending a point y changes the
+state and lowers the value,
 
-  set     sup over n-tuples from S of  min pairwise d  ^  min formula value,
-  group   sup over n-tuples of the min formula value on pairwise quotients,
-  vector  sup over n-tuples of the inf of the formula over nonzero
-          linear combinations.
+  set     chosen points; to the formula at y and to d(z, y) for earlier z,
+  group   chosen points; to the formula at z^-1 y for each earlier z,
+  vector  linear combinations; to the formula at each new nonzero one.
 
-All arithmetic is exact (fractions); sup over an empty range is 0, inf
-over an empty range is 1, and the n = 0 value is 1 by convention.  The
-sup/min recursions prune branches that can no longer beat the running
-best, which is exact because extending a tuple never increases the inner
-value.
+The search starts at value 1, prunes a branch that cannot beat the best so
+far (exact, because growing a tuple never raises the value) and stops once
+the best is 1.  Arithmetic is exact (fractions); sup over an empty range
+is 0, inf over an empty range is 1, and the n = 0 value is 1.
 
 `discrete_reduction` recovers the counting measures from these formulas
 over the discrete metric: the largest n at which the value is still 1
@@ -150,7 +151,6 @@ class MetricStructure:
                 raise StructureMismatch(f"point {x} has no inverse")
         self.mult = mult
         self.inverse = inverse
-        self.identity = identity
 
     def _install_vector(self, p: int, coords: Sequence[Sequence[int]]) -> None:
         if len(coords) != self.n_points:
@@ -184,96 +184,81 @@ class MetricStructure:
                    for j in range(self.n_points) if i != j)
 
 
-def _inverse_map(n_points: int, gamma: Optional[Sequence[int]]) -> List[int]:
-    if gamma is None:
-        return list(range(n_points))
-    if sorted(gamma) != list(range(n_points)):
-        raise StructureMismatch(f"gamma is not a point bijection: {gamma}")
-    inv = [0] * n_points
-    for x, y in enumerate(gamma):
-        inv[y] = x
-    return inv
+def _inverse_and_column(ms: MetricStructure, gamma: Optional[Sequence[int]],
+                        phi: str, a: int) -> Tuple[List[int], List[Fraction]]:
+    """gamma^-1 as a point list (checked first), then the formula column."""
+    inv = list(range(ms.n_points))
+    if gamma is not None:
+        if sorted(gamma) != inv:
+            raise StructureMismatch(f"gamma is not a point bijection: {gamma}")
+        for x, y in enumerate(gamma):
+            inv[y] = x
+    return inv, ms.formula_column(phi, a)
+
+
+def _sup_over_tuples(points: Sequence[int], n: int, start, step) -> Fraction:
+    """The module docstring's search; `step(state, value, y)` returns both."""
+    best = ZERO
+
+    def rec(state, value: Fraction, depth: int) -> None:
+        nonlocal best
+        if depth == n:
+            best = value
+            return
+        for y in points:
+            grown, v = step(state, value, y)
+            if v > best:
+                rec(grown, v, depth + 1)
+                if best == ONE:
+                    return
+
+    rec(start, ONE, 0)
+    return best
 
 
 def delta_phi_n_set(ms: MetricStructure, points: Iterable[int], a: int,
                     gamma: Optional[Sequence[int]], phi: str, n: int) -> Fraction:
-    """Set-shape value: sup over n-tuples of min pairwise distance wedge
-    min formula value, everything through the inverse of gamma."""
+    """delta_{phi,n} of the set shape, every point taken through gamma^-1."""
     if n == 0:
         return ONE
-    inv = _inverse_map(ms.n_points, gamma)
-    col = ms.formula_column(phi, a)
-    ys = [inv[x] for x in points]
+    inv, col = _inverse_and_column(ms, gamma, phi, a)
     d = ms.d
-    best = ZERO
-    chosen: List[int] = []
 
-    def rec(running: Fraction) -> None:
-        nonlocal best
-        if running <= best:
-            return
-        if len(chosen) == n:
-            best = running
-            return
-        for y in ys:
-            r = min(running, col[y])
-            for z in chosen:
-                dz = d[z][y]
-                if dz < r:
-                    r = dz
-            chosen.append(y)
-            rec(r)
-            chosen.pop()
-            if best == ONE:
-                return
+    def step(chosen: Tuple[int, ...], value: Fraction, y: int):
+        value = min(value, col[y])
+        for z in chosen:
+            dz = d[z][y]
+            if dz < value:
+                value = dz
+        return chosen + (y,), value
 
-    rec(ONE)
-    return best
+    return _sup_over_tuples([inv[x] for x in points], n, (), step)
 
 
 def delta_phi_n_group(ms: MetricStructure, points: Iterable[int], a: int,
                       gamma: Optional[Sequence[int]], phi: str, n: int) -> Fraction:
-    """Group-shape value: sup over n-tuples of the min formula value on the
-    pairwise quotients x_i^-1 x_j."""
+    """delta_{phi,n} of the group shape, on pairwise quotients x_i^-1 x_j."""
     if ms.mult is None:
         raise StructureMismatch("structure has no group block")
     if n == 0:
         return ONE
-    inv_gamma = _inverse_map(ms.n_points, gamma)
-    col = ms.formula_column(phi, a)
-    xs = list(points)
+    inv_gamma, col = _inverse_and_column(ms, gamma, phi, a)
     mult, invers = ms.mult, ms.inverse
-    best = ZERO
-    chosen: List[int] = []
 
-    def rec(running: Fraction) -> None:
-        nonlocal best
-        if running <= best:
-            return
-        if len(chosen) == n:
-            best = running
-            return
-        for y in xs:
-            r = running
-            for z in chosen:
-                v = col[inv_gamma[mult[invers[z]][y]]]
-                if v < r:
-                    r = v
-            chosen.append(y)
-            rec(r)
-            chosen.pop()
-            if best == ONE:
-                return
+    def step(chosen: Tuple[int, ...], value: Fraction, y: int):
+        for z in chosen:
+            v = col[inv_gamma[mult[invers[z]][y]]]
+            if v < value:
+                value = v
+        return chosen + (y,), value
 
-    rec(ONE)
-    return best
+    return _sup_over_tuples(list(points), n, (), step)
 
 
 def delta_phi_n_vect(ms: MetricStructure, points: Iterable[int], a: int,
                      gamma: Optional[Sequence[int]], phi: str, n: int,
                      cap: int = DEFAULT_COMBINATION_CAP) -> Fraction:
-    """Vector-shape value: sup over n-tuples of the inf of the formula over
-    all nonzero coefficient vectors applied to the tuple."""
+    """delta_{phi,n} of the vector shape, over nonzero linear combinations."""
     if ms.p is None or ms.coords is None or ms._point_of_coords is None:
         raise StructureMismatch("structure has no vector block")
     if n == 0:
@@ -282,43 +267,24 @@ def delta_phi_n_vect(ms: MetricStructure, points: Iterable[int], a: int,
     if p ** n > cap:
         raise EnumerationCapExceeded(
             f"{p}^{n} coefficient vectors exceed cap {cap}")
-    inv_gamma = _inverse_map(ms.n_points, gamma)
-    col = ms.formula_column(phi, a)
-    xs = list(points)
-    coords = ms.coords
-    lookup = ms._point_of_coords
-    width = len(coords[0]) if coords else 0
-    best = ZERO
-    zero = tuple([0] * width)
+    inv_gamma, col = _inverse_and_column(ms, gamma, phi, a)
+    coords, lookup = ms.coords, ms._point_of_coords
 
-    def rec(combos: List[Tuple[int, ...]], value: Fraction, depth: int) -> None:
-        # combos[i] is the combination for the i-th coefficient prefix,
-        # position 0 being the all-zero coefficients.
-        nonlocal best
-        if value <= best:
-            return
-        if depth == n:
-            best = value
-            return
-        for y in xs:
-            yc = coords[y]
-            new: List[Tuple[int, ...]] = []
-            val = value
-            for idx, c in enumerate(combos):
-                for t in range(p):
-                    cc = tuple((u + t * v) % p for u, v in zip(c, yc))
-                    new.append(cc)
-                    if idx == 0 and t == 0:
-                        continue
-                    w = col[inv_gamma[lookup[cc]]]
-                    if w < val:
-                        val = w
-            rec(new, val, depth + 1)
-            if best == ONE:
-                return
+    def step(combos: Tuple[Tuple[int, ...], ...], value: Fraction, y: int):
+        # combos holds every combination of the tuple so far, the all-zero
+        # one included; appending y adds c + t*y for t = 1..p-1.
+        yc = coords[y]
+        added = []
+        for t in range(1, p):
+            for c in combos:
+                cc = tuple([(u + t * w) % p for u, w in zip(c, yc)])
+                added.append(cc)
+                v = col[inv_gamma[lookup[cc]]]
+                if v < value:
+                    value = v
+        return combos + tuple(added), value
 
-    rec([zero], ONE, 0)
-    return best
+    return _sup_over_tuples(list(points), n, ((0,) * len(coords[0]),), step)
 
 
 KIND_EVALUATORS = {

@@ -35,14 +35,10 @@ def solve_galois(inst: GroupInstance, mode: str = "full",
     cert = solve(inst, mode=mode, options=options, with_trace=with_trace)
     h: Subgroup = cert.invariant_element
     whole = Subgroup(inst.ambient, frozenset(range(len(inst.ambient))))
-    per_family = []
-    for a, f in enumerate(inst.family):
-        per_family.append({
-            "a": a,
-            "stabilizer_order": len(f),
-            "index_in_stabilizer": index_of(f, h),
-            "index_in_h": index_of(h, f),
-        })
+    # cert.measures[a] holds [h : h meet f] forward and [f : h meet f] backward.
+    per_family = [{"a": m["a"], "stabilizer_order": len(f),
+                   "index_in_stabilizer": m["backward"], "index_in_h": m["forward"]}
+                  for m, f in zip(cert.measures, inst.family)]
     descriptor = {
         "ambient_order": len(inst.ambient),
         "h_order": len(h),

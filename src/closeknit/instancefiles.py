@@ -228,7 +228,7 @@ def _load_abstract(block: dict, options: EngineOptions, mode: str) -> LoadedFile
     _require(isinstance(delta_rows, list)
              and all(isinstance(row, list) for row in delta_rows),
              "abstract.delta_table: expected a table of rows")
-    size = _as_int(block["size"], "abstract.size")
+    size = _as_size(block["size"], "abstract.size")
     meet_table = _int_matrix(block["meet_table"], "abstract.meet_table")
     family = _int_list(block["family"], "abstract.family")
     delta_cells = [[_int_list(cell, "abstract.delta_table") for cell in row]
@@ -252,7 +252,7 @@ def _load_galois(block: dict, options: EngineOptions, mode: str) -> LoadedFile:
 def _load_metric(block: dict, options: EngineOptions, mode: str) -> LoadedFile:
     from .contlogic import MetricStructure
 
-    k = _as_int(block.get("points"), "metric.points")
+    k = _as_size(block.get("points"), "metric.points")
     distance = _number_table(block.get("distance"), "metric.distance")
     formulas_raw = block.get("formulas")
     _require(isinstance(formulas_raw, dict) and formulas_raw,

@@ -12,8 +12,7 @@ from itertools import product
 from typing import Iterable, List, Optional, Sequence
 
 from closeknit.abstract import AbstractInstance, AbstractLattice, load_abstract
-from closeknit.contlogic import (MetricStructure, delta_phi_n_group,
-                                 delta_phi_n_set, delta_phi_n_vect)
+from closeknit.contlogic import KIND_EVALUATORS, MetricStructure
 from closeknit.engine import Instance, compute_m
 from closeknit.errors import (ContractViolation, EnumerationCapExceeded,
                               StructureMismatch)
@@ -400,11 +399,9 @@ def delta_tuple(ms: MetricStructure, kind: str, points: Iterable[int], a: int,
                 gamma: Optional[Sequence[int]] = None,
                 n_max: Optional[int] = None) -> IndexValue:
     """The full index-poset point: values over every formula and n <= n_max."""
-    evaluators = {"set": delta_phi_n_set, "group": delta_phi_n_group,
-                  "vector": delta_phi_n_vect}
-    if kind not in evaluators:
+    if kind not in KIND_EVALUATORS:
         raise ContractViolation(f"unknown structure kind {kind!r}")
-    fn = evaluators[kind]
+    fn = KIND_EVALUATORS[kind]
     limit = ms.n_points if n_max is None else n_max
     pts = list(points)
     coords = []

@@ -5,6 +5,8 @@ from pathlib import Path
 import pytest
 
 from closeknit.cli import run
+from closeknit.instancefiles import load_file, number_json
+from tests.oracles import naive_delta_group, naive_delta_set, naive_delta_vect
 
 INSTANCES = Path(__file__).resolve().parent.parent / "instances"
 
@@ -177,7 +179,14 @@ def test_unusable_files_exit_four_without_traceback(make_argv, message,
      "galois.degree: expected a non-negative integer, got -2"),
     ({"kind": "vector", "vector": {"p": 2, "dim": -1, "seeds": [[]]}},
      "vector.dim: expected a non-negative integer, got -1"),
-], ids=["group", "galois", "vector"])
+    ({"kind": "abstract",
+      "abstract": {"size": -1, "meet_table": [], "family": [0],
+                   "delta_table": [], "increment_table": []}},
+     "abstract.size: expected a non-negative integer, got -1"),
+    ({"kind": "metric",
+      "metric": {"points": -1, "distance": [], "formulas": {"phi": []}}},
+     "metric.points: expected a non-negative integer, got -1"),
+], ids=["group", "galois", "vector", "abstract", "metric"])
 def test_negative_structural_size_exit_four(payload, message, tmp_path, capsys):
     assert run(["solve", "-i", write(tmp_path, "neg.json", payload)]) == 4
     captured = capsys.readouterr()
@@ -370,6 +379,35 @@ def test_eval_delta_group_block(tmp_path, capsys):
     # One coset of the vanishing-set subgroup beyond itself: index 2.
     assert row["values"][2] == [1, 1]
     assert row["values"][3] == [0, 1]
+
+
+def test_eval_delta_group_and_vector_blocks_match_naive_oracles(tmp_path, capsys):
+    # Z_2^2 as a group (xor) and as F_2^2 under a non-discrete metric.
+    half = [1, 2]
+    path = write(tmp_path, "z2squared.json", {
+        "kind": "metric",
+        "metric": {
+            "points": 4,
+            "distance": [[0, half, half, 1], [half, 0, 1, half],
+                         [half, 1, 0, half], [1, half, half, 0]],
+            "formulas": {"f": [[0, 1], [half, 1], [1, 0], [1, half]],
+                         "g": [[1, half], [0, 1], [half, half], [1, 0]]},
+            "group": {"mult_table": [[x ^ y for y in range(4)] for x in range(4)]},
+            "vector": {"p": 2, "coords": [[0, 0], [0, 1], [1, 0], [1, 1]]},
+            "subsets": [[0, 1, 2, 3], [1, 2, 3], [2]],
+        },
+    })
+    assert run(["eval-delta", "-i", path, "--n-max", "3"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["kinds"] == ["set", "group", "vector"]
+    ms = load_file(path).metric
+    naive = {"set": naive_delta_set, "group": naive_delta_group,
+             "vector": naive_delta_vect}
+    assert len(out["tables"]) == 3 * 3 * len(ms.formulas) * 2
+    for table in out["tables"]:
+        expected = [naive[table["kind"]](ms, table["subset"], table["a"], None,
+                                         table["formula"], n) for n in range(4)]
+        assert table["values"] == [number_json(v) for v in expected]
 
 
 def test_check_metric_kind_exit_zero(capsys):

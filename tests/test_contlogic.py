@@ -146,6 +146,49 @@ def test_vector_evaluator_matches_naive_oracle_p3():
                 naive_delta_vect(ms, pts, 0, None, "phi", n)
 
 
+def _z2_cubed_structure(rng):
+    """Z_2^3 on eight points, both as a group (xor) and as F_2^3, under the
+    Hamming metric scaled by 1/3 and two random two-parameter formulas."""
+    grid = [ZERO, Fraction(1, 3), HALF, ONE]
+    d = [[Fraction(bin(x ^ y).count("1"), 3) for y in range(8)] for x in range(8)]
+    formulas = {name: [[rng.choice(grid) for _ in range(2)] for _ in range(8)]
+                for name in ("f", "g")}
+    return MetricStructure(8, d, formulas,
+                           mult_table=[[x ^ y for y in range(8)] for x in range(8)],
+                           p=2, coords=[[(x >> b) & 1 for b in range(3)]
+                                        for x in range(8)])
+
+
+def test_group_and_vector_evaluators_match_naive_oracle_with_gamma():
+    rng = random.Random(2024)
+    for _ in range(6):
+        ms = _z2_cubed_structure(rng)
+        gamma = list(range(8))
+        rng.shuffle(gamma)
+        pts = sorted(rng.sample(range(8), rng.randint(0, 5)))
+        for phi in sorted(ms.formulas):
+            for a in range(2):
+                for n in range(4):
+                    assert delta_phi_n_group(ms, pts, a, gamma, phi, n) == \
+                        naive_delta_group(ms, pts, a, gamma, phi, n)
+                    assert delta_phi_n_vect(ms, pts, a, gamma, phi, n) == \
+                        naive_delta_vect(ms, pts, a, gamma, phi, n)
+
+
+def test_group_evaluator_matches_naive_oracle_with_gamma_non_abelian():
+    # In S3 the quotient x_i^-1 x_j depends on the order of the pair.
+    s3 = PermGroup(3, [[1, 0, 2], [1, 2, 0]])
+    rng = random.Random(17)
+    for sub in all_subgroups(s3):
+        ms = structure_from_group(s3, [sub])
+        gamma = list(range(6))
+        rng.shuffle(gamma)
+        pts = sorted(rng.sample(range(6), rng.randint(0, 6)))
+        for n in range(4):
+            assert delta_phi_n_group(ms, pts, 0, gamma, "phi", n) == \
+                naive_delta_group(ms, pts, 0, gamma, "phi", n)
+
+
 def test_gamma_argument_matches_preclosed_family():
     # Applying the bijection inside the formula equals evaluating the
     # translated subset against the same parameter.
